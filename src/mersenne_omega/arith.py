@@ -17,7 +17,7 @@ __all__ = [
     "mod_mersenne",
     "is_probable_prime",
     "lucas_lehmer",
-    "multiplicative_order_of_two",
+    "integer_root",
     "is_perfect_power",
 ]
 
@@ -189,15 +189,17 @@ def is_probable_prime(x: int) -> Verdict:
     return Verdict.PROBABLE_PRIME
 
 
+def _prime_like(x: int) -> bool:
+    return is_probable_prime(x) is not Verdict.COMPOSITE
+
+
 def lucas_lehmer(p: int) -> bool:
     """Decide whether 2^p - 1 is prime, for odd prime p.
 
     Iterates s <- s^2 - 2 from s = 4, reducing with mod_mersenne; 2^p - 1
     is prime iff the (p-2)-th term vanishes.
     """
-    if p < 3 or p % 2 == 0:
-        raise ValueError("p must be an odd prime")
-    if is_probable_prime(p) is Verdict.COMPOSITE:
+    if p < 3 or p % 2 == 0 or not _prime_like(p):
         raise ValueError("p must be an odd prime")
     m = mersenne(p)
     s = 4
@@ -209,43 +211,16 @@ def lucas_lehmer(p: int) -> bool:
     return s == 0
 
 
-def multiplicative_order_of_two(q: int, divisor_hint: int | None = None) -> int:
-    """Return the least e >= 1 with 2^e = 1 (mod q), for an odd prime q.
-
-    When divisor_hint = n is supplied and q divides 2^n - 1, the order is
-    found by descending through the divisors of n; otherwise q - 1 is
-    factored and descended.  The order of a divisor of 2^n - 1 equals n
-    exactly when the divisor is primitive.
-    """
-    if q < 3 or q % 2 == 0:
-        raise ValueError("q must be an odd prime")
-    if is_probable_prime(q) is Verdict.COMPOSITE:
-        raise ValueError("q must be an odd prime")
-    if divisor_hint is not None and divisor_hint >= 1 and pow(2, divisor_hint, q) == 1:
-        e = divisor_hint
-    else:
-        e = q - 1
-    from .factoring import factor_natural
-
-    f = factor_natural(e)
-    if not f.complete:
-        raise ArithmeticError(f"cannot factor exponent bound {e} within budget")
-    for r, _ in f.factors:
-        while e % r == 0 and pow(2, e // r, q) == 1:
-            e //= r
-    return e
-
-
-def _primes_up_to(limit: int) -> list[int]:
-    # limit is small here (at most the bit length of the tested value)
+def _primes_up_to(limit: int) -> tuple[int, ...]:
+    """All primes p <= limit, ascending."""
     if limit < 2:
-        return []
+        return ()
     sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
+    sieve[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, limit + 1) if sieve[i]]
+            sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
+    return tuple(i for i in range(2, limit + 1) if sieve[i])
 
 
 def integer_root(x: int, k: int) -> int:

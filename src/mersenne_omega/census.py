@@ -19,7 +19,6 @@ __all__ = [
     "CensusSummary",
     "ASYMPTOTIC_NOTE",
     "index_functions",
-    "hw_bound",
     "hw_bounds",
     "run_census",
 ]
@@ -46,16 +45,6 @@ def index_functions(n: int) -> tuple[int, int, int]:
     return d, f.omega, f.bigomega
 
 
-def hw_bound(n: int, epsilon: float) -> float:
-    """Lower edge 2^((1 - eps) * ln ln n) of the divisor-count band.
-
-    Requires n >= 3 so that ln ln n is positive.
-    """
-    if n < 3:
-        raise ValueError("n must be >= 3 (ln ln n must be positive)")
-    return 2.0 ** ((1.0 - epsilon) * math.log(math.log(n)))
-
-
 def hw_bounds(n: int, epsilon: float) -> tuple[float, float]:
     """Both edges 2^((1 -+ eps) * ln ln n) of the divisor-count band."""
     if n < 3:
@@ -70,7 +59,6 @@ class CensusConfig:
     n_max: int
     epsilon: float = 0.5
     budget: Budget | None = None
-    cache_path: str | None = None
 
     def __post_init__(self) -> None:
         if not 2 <= self.n_min <= self.n_max:

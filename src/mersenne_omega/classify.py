@@ -16,13 +16,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .arith import (
-    Verdict,
-    integer_root,
-    is_perfect_power,
-    is_probable_prime,
-    mersenne,
-)
+from .arith import _prime_like, integer_root, is_perfect_power, mersenne
 from .cyclotomic import divisor_list, mersenne_quotient_residue
 from .factoring import Budget, Factorization, FactorStats, factor_mersenne, factor_natural
 
@@ -126,7 +120,7 @@ class ClassificationReport:
 
 
 def _odd_prime(n: int) -> bool:
-    return n % 2 == 1 and n > 2 and is_probable_prime(n) is not Verdict.COMPOSITE
+    return n % 2 == 1 and n > 2 and _prime_like(n)
 
 
 def validate_divisor_form(q: int, p: int) -> DivisorFormCheck:
@@ -474,7 +468,7 @@ def verify_identities(
 
     residue_suite = _Tally("quotient_residue")
     for p in range(2, max_n + 1):
-        if is_probable_prime(p) is Verdict.COMPOSITE:
+        if not _prime_like(p):
             continue
         for m in range(1, max_n // p + 1):
             direct = (mersenne(p * m) // mersenne(p)) % mersenne(p)

@@ -21,12 +21,10 @@ from .factoring import Budget, FactorStats, factor_mersenne
 from .storage import (
     CacheError,
     FactorCache,
-    Report,
-    ReportKind,
-    export_report,
+    census_csv,
     import_known_factors,
     load_cache,
-    render_report,
+    report_json,
     save_cache,
 )
 
@@ -46,12 +44,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _cache_path(args) -> str | None:
-    return args.cache or os.environ.get(CACHE_ENV_VAR) or None
-
-
 def _open_cache(args) -> tuple[FactorCache, str | None]:
-    path = _cache_path(args)
+    path = args.cache or os.environ.get(CACHE_ENV_VAR) or None
     if path and Path(path).exists():
         return load_cache(path), path
     return FactorCache(), path
@@ -60,6 +54,13 @@ def _open_cache(args) -> tuple[FactorCache, str | None]:
 def _save_cache(cache: FactorCache, path: str | None) -> None:
     if path is not None:
         save_cache(cache, path)
+
+
+def _write_text(text: str, out: str | None) -> None:
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _budget(args) -> Budget | None:
@@ -152,12 +153,7 @@ def _cmd_classify(args) -> int:
     if not f.complete:
         print(f"factorization of 2^{args.n} - 1 incomplete", file=sys.stderr)
         return EXIT_PARTIAL
-    payload = _classification_payload(args.n, f)
-    report = Report(ReportKind.CLASSIFICATION_JSON, payload)
-    if args.out:
-        export_report(report, args.out)
-    else:
-        sys.stdout.write(render_report(report))
+    _write_text(report_json(_classification_payload(args.n, f)), args.out)
     return EXIT_OK
 
 
@@ -195,7 +191,7 @@ def _cmd_verify(args) -> int:
                 for s in suites
             ],
         }
-        export_report(Report(ReportKind.SUITE_JSON, payload), args.out)
+        Path(args.out).write_text(report_json(payload), encoding="utf-8")
     if any(s.failed for s in suites):
         return EXIT_VERIFY
     if any(s.inconclusive for s in suites):
@@ -209,18 +205,12 @@ def _cmd_census(args) -> int:
         n_max=args.max,
         epsilon=args.epsilon,
         budget=_budget(args),
-        cache_path=_cache_path(args),
     )
     cache, path = _open_cache(args)
     records, summary = run_census(config, cache)
     _save_cache(cache, path)
-    report = Report(ReportKind.CENSUS_CSV, records)
-    summary_stream = sys.stdout
-    if args.out:
-        export_report(report, args.out)
-    else:
-        sys.stdout.write(render_report(report))
-        summary_stream = sys.stderr
+    _write_text(census_csv(records), args.out)
+    summary_stream = sys.stdout if args.out else sys.stderr
     w = summary.uncorrected_bound_witnesses
     print(
         f"records: {summary.records_total} "
@@ -244,10 +234,9 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    path = _cache_path(args)
+    cache, path = _open_cache(args)
     if path is None:
         raise ValueError(f"--cache (or {CACHE_ENV_VAR}) is required for import")
-    cache = load_cache(path) if Path(path).exists() else FactorCache()
     summary = import_known_factors(args.file, cache)
     save_cache(cache, path)
     print(f"accepted: {summary.accepted}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import mersenne, multiplicative_order_of_two
+from .arith import _prime_like, mersenne
 from .factoring import Factorization, factor_natural
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "cyclotomic_split",
     "primitive_prime_divisors",
     "mersenne_quotient_residue",
+    "multiplicative_order_of_two",
 ]
 
 
@@ -95,6 +96,29 @@ def cyclotomic_split(n: int) -> list[CyclotomicPart]:
         value = cyclotomic_value(d)
         parts.append(CyclotomicPart(d, value, math.gcd(value, d)))
     return parts
+
+
+def multiplicative_order_of_two(q: int, divisor_hint: int | None = None) -> int:
+    """Return the least e >= 1 with 2^e = 1 (mod q), for an odd prime q.
+
+    When divisor_hint = n is supplied and q divides 2^n - 1, the order is
+    found by descending through the divisors of n; otherwise q - 1 is
+    factored and descended.  The order of a divisor of 2^n - 1 equals n
+    exactly when the divisor is primitive.
+    """
+    if q < 3 or q % 2 == 0 or not _prime_like(q):
+        raise ValueError("q must be an odd prime")
+    if divisor_hint is not None and divisor_hint >= 1 and pow(2, divisor_hint, q) == 1:
+        e = divisor_hint
+    else:
+        e = q - 1
+    f = factor_natural(e)
+    if not f.complete:
+        raise ArithmeticError(f"cannot factor exponent bound {e} within budget")
+    for r, _ in f.factors:
+        while e % r == 0 and pow(2, e // r, q) == 1:
+            e //= r
+    return e
 
 
 def primitive_prime_divisors(n: int, f: Factorization) -> PrimitiveReport:

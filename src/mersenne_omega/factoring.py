@@ -2,8 +2,7 @@
 pipeline for 2^n - 1 that pre-splits along the divisors of n.
 
 All routines are deterministic: rho seeds follow the fixed schedule
-c = 1, 2, 3, ... and there is no wall-clock dependence unless a caller
-opts into one via Budget.wall_hint_ms.
+c = 1, 2, 3, ... and there is no wall-clock dependence.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .arith import Verdict, is_perfect_power, is_probable_prime, mersenne
+from .arith import _prime_like, _primes_up_to, is_perfect_power, mersenne
 
 if TYPE_CHECKING:
     from .storage import FactorCache
@@ -41,15 +40,12 @@ class Budget:
 
     rho_iterations_max: int = 1 << 26
     trial_division_bound: int = 2_000_000
-    wall_hint_ms: int | None = None
 
     def __post_init__(self) -> None:
         if self.rho_iterations_max <= 0:
             raise ValueError("rho_iterations_max must be positive")
         if self.trial_division_bound <= 0:
             raise ValueError("trial_division_bound must be positive")
-        if self.wall_hint_ms is not None and self.wall_hint_ms <= 0:
-            raise ValueError("wall_hint_ms must be positive")
 
 
 DEFAULT_BUDGET = Budget()
@@ -142,18 +138,9 @@ class _RhoTracker:
             self.stats.rho_iterations += steps
 
 
-@functools.lru_cache(maxsize=4)
-def _sieve_primes(bound: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(bound) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, bound + 1, i)))
-    return tuple(i for i in range(2, bound + 1) if sieve[i])
-
-
-def _prime_like(x: int) -> bool:
-    return is_probable_prime(x) is not Verdict.COMPOSITE
+# Trial division reuses the table for the budget's bound across calls.
+# is_perfect_power sieves its small tables uncached, so they never evict it.
+_sieve_primes = functools.lru_cache(maxsize=4)(_primes_up_to)
 
 
 def _rho_brent(x: int, c: int, tracker: _RhoTracker) -> int | None:
@@ -402,5 +389,5 @@ def factor_mersenne(
         leftover *= _factor_with_rho(v, tracker, counts)
     result = Factorization(mersenne(n), tuple(sorted(counts.items())), leftover)
     if cache is not None:
-        result = cache.merge(n, result)
+        result = cache.add_primes(n, result.primes())
     return result

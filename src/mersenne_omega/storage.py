@@ -1,4 +1,4 @@
-"""Persistent factor cache, known-factor ingestion, and report rendering.
+"""Persistent factor cache, known-factor ingestion, and report text.
 
 Cache file format (single JSON document, UTF-8, trailing newline):
 
@@ -12,21 +12,25 @@ Primes and cofactors are decimal strings so arbitrary precision survives
 any JSON parser; entries are sorted by n and keys have a fixed order, so
 serialization is canonical.  Every entry is re-verified on load (product
 reconstruction and primality of the listed primes) — the file is never
-trusted.
+trusted.  Saving renames a finished temporary file over the old one, so
+a crash mid-write leaves the old file intact.
 
 Known-factor import format: text lines "n factor" in decimal, '#' lines
 are comments, blank lines are ignored.
+
+Reports are text: census_csv for census records, report_json for any
+JSON payload.
 """
 
 from __future__ import annotations
 
-import enum
 import json
+import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .arith import Verdict, is_probable_prime, mersenne
+from .arith import _prime_like, mersenne
 from .factoring import Factorization
 
 __all__ = [
@@ -37,10 +41,8 @@ __all__ = [
     "save_cache",
     "ImportSummary",
     "import_known_factors",
-    "ReportKind",
-    "Report",
-    "render_report",
-    "export_report",
+    "census_csv",
+    "report_json",
 ]
 
 CACHE_VERSION = 1
@@ -50,16 +52,12 @@ class CacheError(Exception):
     """Cache file failed to parse or verify."""
 
 
-def _prime_like(x: int) -> bool:
-    return is_probable_prime(x) is not Verdict.COMPOSITE
-
-
 class FactorCache:
     """In-memory map from index n to the known factorization of 2^n - 1.
 
-    Reads need no lock; merges are serialized and union factor knowledge
-    per entry: exponents are recomputed against 2^n - 1, so merging an
-    entry twice is idempotent and known primes are never lost.
+    Reads need no lock; add_primes calls are serialized and union factor
+    knowledge per entry: exponents are recomputed against 2^n - 1, so a
+    repeated call is idempotent and known primes are never lost.
     """
 
     def __init__(self) -> None:
@@ -79,9 +77,6 @@ class FactorCache:
 
     def indices(self) -> list[int]:
         return sorted(self._entries)
-
-    def merge(self, n: int, factorization: Factorization) -> Factorization:
-        return self.add_primes(n, factorization.primes())
 
     def add_primes(self, n: int, primes) -> Factorization:
         """Fold newly learned prime divisors of 2^n - 1 into the entry.
@@ -111,9 +106,6 @@ class FactorCache:
             self._entries[n] = entry
             return entry
 
-    def _install_verified(self, n: int, entry: Factorization) -> None:
-        self._entries[n] = entry
-
 
 def _verify_entry(n: int, factors, cofactor: int, status: str) -> Factorization:
     entry = Factorization(mersenne(n), factors, cofactor)
@@ -128,8 +120,9 @@ def _verify_entry(n: int, factors, cofactor: int, status: str) -> Factorization:
 
 
 def load_cache(path) -> FactorCache:
-    """Parse and verify a cache file.  Raises CacheError on parse failure
-    or when any entry fails verification (all offending n are listed)."""
+    """Parse and verify a cache file.  Raises CacheError on parse failure,
+    on a malformed document, or when any entry fails verification (all
+    offending n are listed)."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
@@ -137,9 +130,12 @@ def load_cache(path) -> FactorCache:
         raise CacheError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != CACHE_VERSION:
         raise CacheError(f"{path}: missing or unsupported cache version")
+    entries = doc.get("entries", [])
+    if not isinstance(entries, list) or not all(isinstance(raw, dict) for raw in entries):
+        raise CacheError(f"{path}: entries must be a list of objects")
     cache = FactorCache()
     problems = []
-    for raw in doc.get("entries", []):
+    for raw in entries:
         try:
             n = int(raw["n"])
             factors = tuple((int(p), int(e)) for p, e in raw["factors"])
@@ -148,14 +144,16 @@ def load_cache(path) -> FactorCache:
         except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"n={raw.get('n', '?')}: {exc}")
             continue
-        cache._install_verified(n, entry)
+        cache._entries[n] = entry
     if problems:
         raise CacheError(f"{path}: rejected entries: " + "; ".join(problems))
     return cache
 
 
 def save_cache(cache: FactorCache, path) -> None:
-    """Write the canonical JSON form (stable ordering, trailing newline)."""
+    """Write the canonical JSON form (stable ordering, trailing newline)
+    to a temporary file beside path, then rename it over path.  On failure
+    the temporary file is removed and path is left as it was."""
     entries = []
     for n in cache.indices():
         f = cache.get(n)
@@ -168,7 +166,15 @@ def save_cache(cache: FactorCache, path) -> None:
         entry["status"] = f.status
         entries.append(entry)
     doc = {"version": CACHE_VERSION, "entries": entries}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    target = Path(path)
+    # Unique per process and thread, so concurrent saves never share one.
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -221,18 +227,6 @@ def import_known_factors(path, cache: FactorCache) -> ImportSummary:
     return ImportSummary(lines_total, accepted, tuple(rejected))
 
 
-class ReportKind(enum.Enum):
-    CENSUS_CSV = "census_csv"
-    CLASSIFICATION_JSON = "classification_json"
-    SUITE_JSON = "suite_json"
-
-
-@dataclass(frozen=True)
-class Report:
-    kind: ReportKind
-    payload: object
-
-
 _CENSUS_COLUMNS = (
     "n",
     "d_n",
@@ -258,33 +252,32 @@ def _cell(value) -> str:
     return str(value)
 
 
-def render_report(report: Report) -> str:
-    """Canonical text form: CSV with the fixed column set for a census,
-    JSON with insertion-ordered keys otherwise.  Always newline-terminated."""
-    if report.kind is ReportKind.CENSUS_CSV:
-        lines = [",".join(_CENSUS_COLUMNS)]
-        for r in report.payload:
-            lines.append(
-                ",".join(
-                    _cell(v)
-                    for v in (
-                        r.n,
-                        r.d_n,
-                        r.omega_n,
-                        r.bigomega_n,
-                        r.omega_M,
-                        r.bound_prop2,
-                        r.bound_divisors,
-                        r.hw_value,
-                        r.lemma6_holds,
-                        r.final_inequality_holds,
-                        r.complete,
-                    )
+def census_csv(records) -> str:
+    """Census records as CSV with the fixed column set, newline-terminated."""
+    lines = [",".join(_CENSUS_COLUMNS)]
+    for r in records:
+        lines.append(
+            ",".join(
+                _cell(v)
+                for v in (
+                    r.n,
+                    r.d_n,
+                    r.omega_n,
+                    r.bigomega_n,
+                    r.omega_M,
+                    r.bound_prop2,
+                    r.bound_divisors,
+                    r.hw_value,
+                    r.lemma6_holds,
+                    r.final_inequality_holds,
+                    r.complete,
                 )
             )
-        return "\n".join(lines) + "\n"
-    return json.dumps(report.payload, indent=2, ensure_ascii=False) + "\n"
+        )
+    return "\n".join(lines) + "\n"
 
 
-def export_report(report: Report, path) -> None:
-    Path(path).write_text(render_report(report), encoding="utf-8")
+def report_json(payload) -> str:
+    """JSON with insertion-ordered keys, newline-terminated.  Non-ASCII
+    text is written as is: classification decompositions contain "·"."""
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"

@@ -17,8 +17,6 @@ from mersenne_omega import (
     CensusConfig,
     FactorCache,
     FactorStats,
-    Report,
-    ReportKind,
     cyclotomic_value,
     divisor_list,
     factor_mersenne,
@@ -29,7 +27,6 @@ from mersenne_omega import (
     lucas_lehmer,
     mersenne,
     primitive_prime_divisors,
-    render_report,
     run_census,
     save_cache,
 )

@@ -1,0 +1,27 @@
+import ast
+import importlib
+from pathlib import Path
+
+import mersenne_omega
+from mersenne_omega import factoring
+
+SUBMODULES = ("arith", "factoring", "cyclotomic", "classify", "census", "storage")
+
+
+def test_package_exports_the_union_of_submodule_exports():
+    union = set()
+    for name in SUBMODULES:
+        union.update(importlib.import_module(f"mersenne_omega.{name}").__all__)
+    assert set(mersenne_omega.__all__) == union
+    assert all(hasattr(mersenne_omega, name) for name in mersenne_omega.__all__)
+
+
+def test_arith_imports_nothing_from_the_package():
+    tree = ast.parse(Path(mersenne_omega.__file__).with_name("arith.py").read_text())
+    relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert relative == []
+
+
+def test_trial_sieve_keeps_its_name():
+    # perfbench/spans.py traces the cached trial-division sieve under this name.
+    assert factoring._sieve_primes(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)

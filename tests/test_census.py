@@ -6,12 +6,9 @@ from mersenne_omega import (
     ASYMPTOTIC_NOTE,
     CensusConfig,
     FactorCache,
-    Report,
-    ReportKind,
-    hw_bound,
+    census_csv,
     hw_bounds,
     index_functions,
-    render_report,
     run_census,
 )
 from mersenne_omega.factoring import Budget
@@ -34,24 +31,22 @@ def test_index_functions_monotone_relations():
 
 
 def test_hw_bound_values():
-    assert hw_bound(16, 1.0) == 1.0
-    assert abs(hw_bound(100, 0.5) - 1.6977097313872687) < 1e-9
-    assert abs(hw_bound(3, 0.5) - 1.0331315125119924) < 1e-9
+    assert hw_bounds(16, 1.0)[0] == 1.0
+    assert abs(hw_bounds(100, 0.5)[0] - 1.6977097313872687) < 1e-9
+    assert abs(hw_bounds(3, 0.5)[0] - 1.0331315125119924) < 1e-9
     # direct formula oracle
     for n, eps in ((10, 0.25), (64, 0.5), (1000, 0.75)):
-        assert hw_bound(n, eps) == 2.0 ** ((1.0 - eps) * math.log(math.log(n)))
+        assert hw_bounds(n, eps)[0] == 2.0 ** ((1.0 - eps) * math.log(math.log(n)))
 
 
 def test_hw_bounds_two_sided():
     low, high = hw_bounds(100, 0.5)
-    assert low == hw_bound(100, 0.5)
+    assert low == 2.0 ** (0.5 * math.log(math.log(100)))
     assert high == 2.0 ** (1.5 * math.log(math.log(100)))
     assert low < high
 
 
 def test_hw_bound_domain():
-    with pytest.raises(ValueError):
-        hw_bound(2, 0.5)
     with pytest.raises(ValueError):
         hw_bounds(2, 0.5)
 
@@ -120,6 +115,6 @@ def test_census_marks_incomplete_records():
 def test_census_reproducible_byte_identical():
     a_records, _ = run_census(CensusConfig(2, 40))
     b_records, _ = run_census(CensusConfig(2, 40), FactorCache())
-    a = render_report(Report(ReportKind.CENSUS_CSV, a_records))
-    b = render_report(Report(ReportKind.CENSUS_CSV, b_records))
+    a = census_csv(a_records)
+    b = census_csv(b_records)
     assert a == b

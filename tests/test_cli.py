@@ -11,6 +11,54 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Reports are byte-exact: key order fixed, "·" written unescaped, one
+# trailing newline.
+CLASSIFY_9 = """\
+{
+  "n": 9,
+  "shape": "prime_squared",
+  "min_omega": 2,
+  "eligible_omega": [
+    2,
+    3,
+    "more"
+  ],
+  "omega": 2,
+  "matched_clause": "T2_i",
+  "decomposition": "M3·73",
+  "consistent": true,
+  "divisor_form_checks": []
+}
+"""
+
+
+def _suite(name, passed):
+    return f"""\
+    {{
+      "name": "{name}",
+      "passed": {passed},
+      "failed": 0,
+      "inconclusive": 0,
+      "first_failure": null
+    }}"""
+
+
+VERIFY_12 = (
+    '{\n  "max_n": 12,\n  "suites": [\n'
+    + ",\n".join(
+        _suite(name, passed)
+        for name, passed in (
+            ("gcd_identity", 78),
+            ("omega_superadditivity", 2),
+            ("perfect_power_absence", 199),
+            ("quotient_residue", 14),
+            ("structure_consistency", 11),
+        )
+    )
+    + "\n  ]\n}\n"
+)
+
+
 def test_factor_complete(capsys):
     code, out, err = run(capsys, "factor", "29")
     assert code == 0
@@ -83,13 +131,14 @@ def test_classify_json(capsys):
 
 
 def test_classify_to_file(capsys, tmp_path):
+    code, out, _ = run(capsys, "classify", "9")
+    assert code == 0
+    assert out == CLASSIFY_9
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "classify", "9", "--out", str(out_path))
     assert code == 0
     assert out == ""
-    doc = json.loads(out_path.read_text(encoding="utf-8"))
-    assert doc["matched_clause"] == "T2_i"
-    assert doc["decomposition"] == "M3·73"
+    assert out_path.read_bytes() == CLASSIFY_9.encode("utf-8")
 
 
 def test_classify_prime_has_divisor_checks(capsys):
@@ -112,6 +161,7 @@ def test_verify_suite_report(capsys, tmp_path):
     out_path = tmp_path / "suite.json"
     code, _, _ = run(capsys, "verify", "--max", "12", "--out", str(out_path))
     assert code == 0
+    assert out_path.read_bytes() == VERIFY_12.encode("utf-8")
     doc = json.loads(out_path.read_text())
     assert doc["max_n"] == 12
     assert [s["name"] for s in doc["suites"]] == [
@@ -133,6 +183,9 @@ def test_census_to_file(capsys, tmp_path):
     assert lines[0].startswith("n,d_n,omega_n,")
     assert "deterministic_bound_violations: 0" in out
     assert "uncorrected_bound_witnesses: 3 4 5 7 8 9" in out
+    code, stdout_csv, _ = run(capsys, "census", "--min", "2", "--max", "10")
+    assert code == 0
+    assert out_path.read_bytes() == stdout_csv.encode("utf-8")
 
 
 def test_census_to_stdout(capsys):
@@ -212,6 +265,17 @@ def test_corrupt_cache_aborts_with_io_exit(capsys, tmp_path):
     cache_path = tmp_path / "cache.json"
     cache_path.write_text("{broken")
     code, _, err = run(capsys, "factor", "29", "--cache", str(cache_path))
+    assert code == 4
+    assert "cache error" in err
+
+
+@pytest.mark.parametrize(
+    "text", ['{"version": 1, "entries": 5}', '{"version": 1, "entries": [5]}']
+)
+def test_malformed_cache_aborts_with_io_exit(capsys, tmp_path, text):
+    cache_path = tmp_path / "cache.json"
+    cache_path.write_text(text)
+    code, _, err = run(capsys, "factor", "7", "--cache", str(cache_path))
     assert code == 4
     assert "cache error" in err
 

@@ -1,17 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from mersenne_omega import (
     CacheError,
     FactorCache,
-    Report,
-    ReportKind,
-    export_report,
+    census_csv,
     factor_mersenne,
     import_known_factors,
     load_cache,
-    render_report,
+    report_json,
     run_census,
     save_cache,
 )
@@ -103,6 +102,39 @@ def test_load_rejects_bad_version_and_bad_json(tmp_path):
         load_cache(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"version": 1, "entries": 5}',
+        '{"version": 1, "entries": [5]}',
+        '{"version": 1, "entries": [{"n": 11, "factors": [["23", 1], ["89", 1]], "status": "complete"}, "x"]}',
+    ],
+)
+def test_load_rejects_malformed_entries(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(CacheError):
+        load_cache(path)
+
+
+def test_failed_save_keeps_old_file(populated_cache, tmp_path, monkeypatch):
+    path = tmp_path / "cache.json"
+    save_cache(FactorCache(), path)
+    before = path.read_bytes()
+
+    def write_half_then_fail(self, data, encoding=None):
+        with open(self, "w", encoding=encoding) as handle:
+            handle.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_cache(populated_cache, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
 def test_load_accepts_partial_entry(tmp_path):
     path = tmp_path / "partial.json"
     doc = {
@@ -125,7 +157,7 @@ def test_merge_is_monotone_and_idempotent():
     # the prime cofactor 89 is absorbed, completing the entry
     assert first.factors == ((23, 1), (89, 1))
     assert first.complete
-    again = cache.merge(11, first)
+    again = cache.add_primes(11, first.primes())
     assert again == first
     # re-adding a known prime changes nothing
     cache.add_primes(11, (23,))
@@ -187,9 +219,9 @@ def test_import_is_idempotent(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_census_csv_report(tmp_path):
+def test_census_csv_report():
     records, _ = run_census(CensusConfig(2, 4))
-    text = render_report(Report(ReportKind.CENSUS_CSV, records))
+    text = census_csv(records)
     lines = text.splitlines()
     assert len(lines) == 4  # header + one row per index
     assert lines[0] == (
@@ -198,16 +230,15 @@ def test_census_csv_report(tmp_path):
     )
     assert lines[1].startswith("2,2,1,1,1,1,1,,,")
     assert text.endswith("\n")
-    out = tmp_path / "census.csv"
-    export_report(Report(ReportKind.CENSUS_CSV, records), out)
-    assert out.read_text(encoding="utf-8") == text
 
 
-def test_json_report_key_order_is_stable(tmp_path):
-    payload = {"n": 10, "matched_clause": "T3_i", "consistent": True}
-    text = render_report(Report(ReportKind.CLASSIFICATION_JSON, payload))
-    assert text.index('"n"') < text.index('"matched_clause"') < text.index('"consistent"')
-    assert text.endswith("\n")
+def test_json_report_key_order_is_stable():
+    payload = {"n": 10, "matched_clause": "T3_i", "consistent": True, "decomposition": "3·11"}
+    text = report_json(payload)
+    assert text == (
+        '{\n  "n": 10,\n  "matched_clause": "T3_i",\n  "consistent": true,\n'
+        '  "decomposition": "3·11"\n}\n'
+    )
 
 
 def test_factorization_status_serialization(populated_cache, tmp_path):
