@@ -36,6 +36,9 @@ class Budget:
 
     rho_iterations_max bounds the total number of iteration-function
     evaluations across all rho invocations triggered by the call.
+    trial_division_bound caps the prime table factor_natural trial-divides
+    by; below the cap the table is sized to sqrt(x), so small values never
+    build it in full.
     """
 
     rho_iterations_max: int = 1 << 26
@@ -138,9 +141,22 @@ class _RhoTracker:
             self.stats.rho_iterations += steps
 
 
-# Trial division reuses the table for the budget's bound across calls.
-# is_perfect_power sieves its small tables uncached, so they never evict it.
-_sieve_primes = functools.lru_cache(maxsize=4)(_primes_up_to)
+# Trial division reuses its tables across calls: one per rung of
+# _trial_limit, so the default bound's seven (2^10, 2^12, ..., 2^20, then
+# 2M) all stay cached.  is_perfect_power sieves its small tables uncached,
+# so they never evict these.
+_sieve_primes = functools.lru_cache(maxsize=8)(_primes_up_to)
+
+
+def _trial_limit(x: int, bound: int) -> int:
+    """Sieve limit for trial division of x: the smallest power of 4 that
+    is at least max(1024, isqrt(x)), capped at bound.
+
+    The scan stops once p * p > x, so primes up to isqrt(x) always
+    suffice; rounding up to a power of 4 keeps the cached tables few.
+    """
+    bits = (max(1024, math.isqrt(x)) - 1).bit_length()
+    return min(bound, 1 << (bits + (bits & 1)))
 
 
 def _rho_brent(x: int, c: int, tracker: _RhoTracker) -> int | None:
@@ -241,8 +257,9 @@ def _factor_with_rho(value: int, tracker: _RhoTracker, counts: Counter) -> int:
 def factor_natural(
     x: int, budget: Budget | None = None, stats: FactorStats | None = None
 ) -> Factorization:
-    """Factor an ordinary natural: trial division up to the budget bound,
-    then Brent rho with the deterministic seed schedule on what remains.
+    """Factor an ordinary natural: trial division by the primes up to
+    sqrt(x) (at most the budget bound), then Brent rho with the
+    deterministic seed schedule on what remains.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -257,7 +274,7 @@ def factor_natural(
         remaining = 1
         proven_done = True
     else:
-        for p in _sieve_primes(budget.trial_division_bound):
+        for p in _sieve_primes(_trial_limit(remaining, budget.trial_division_bound)):
             if p * p > remaining:
                 if remaining > 1:
                     counts[remaining] += 1

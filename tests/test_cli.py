@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -302,3 +303,22 @@ def test_stdout_is_stable_across_runs(capsys):
     _, out1, _ = run(capsys, "omega", "--range", "2", "20")
     _, out2, _ = run(capsys, "omega", "--range", "2", "20")
     assert out1 == out2
+
+
+# SHA-256 of each command's stdout.  The size of the trial-division
+# table must not change what is printed.
+SMALL_QUERIES = {
+    ("classify", "10"): "847d5aa7db6ca45429c47d9e5d41d1fa3f4b390c9e379a5d55398e8d4a01a315",
+    ("primitive", "12"): "39f067e11739d47a7222b17ffa3acf0888e7325535b88d591024ef3bcede5ebc",
+    ("census", "--min", "2", "--max", "20"): "425209b6462e1fe1d593e2c867338eeb786109286ec036bd0266c0f35a97956b",
+    ("verify", "--max", "20"): "1c172cf9793650241097331d4a4f28f472eb82243e7c1f2ab928c692cb390e6c",
+}
+
+
+@pytest.mark.parametrize("argv", list(SMALL_QUERIES))
+def test_small_queries_build_only_the_smallest_trial_table(capsys, monkeypatch, sieve_requests, argv):
+    monkeypatch.delenv("MERSENNE_OMEGA_CACHE", raising=False)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SMALL_QUERIES[argv]
+    assert sieve_requests and max(sieve_requests) <= 1024

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mersenne_omega import (
+    DEFAULT_BUDGET,
     Budget,
     FactorCache,
     FactorStats,
@@ -14,6 +15,7 @@ from mersenne_omega import (
     pollard_rho_brent,
     trial_divide_congruence,
 )
+from mersenne_omega.factoring import _sieve_primes
 
 
 def test_factorization_invariants():
@@ -53,6 +55,81 @@ def test_factor_natural_reconstructs_random_inputs():
         f = factor_natural(x)
         assert f.complete, x
         assert f.reconstructs() and f.target == x
+
+
+# The trial-division table grows in powers of 4 from 2^10 and stops at
+# the bound: 2^10, 2^12, ..., 2^20, then 2M under the default budget.
+RUNGS = (1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 2_000_000)
+# Largest prime below each rung and smallest above it.
+RUNG_PRIMES = (
+    (1021, 1031),
+    (4093, 4099),
+    (16381, 16411),
+    (65521, 65537),
+    (262139, 262147),
+    (1048573, 1048583),
+    (1999993, 2000003),
+)
+
+
+def test_trial_sieve_is_sized_to_the_square_root(sieve_requests):
+    rng = random.Random(0x51E)
+    small = list(range(1, 3000)) + [rng.randrange(1, 1 << 20) for _ in range(500)]
+    for x in small + [(1 << 20) - 1, 1021 * 1021]:
+        factor_natural(x)
+    assert max(sieve_requests) == 1024
+
+    sieve_requests.clear()
+    stats = FactorStats()
+    f = factor_natural(1_999_993 * 2_000_003, stats=stats)
+    assert sieve_requests == [DEFAULT_BUDGET.trial_division_bound]
+    assert f.complete and f.factors == ((1_999_993, 1), (2_000_003, 1))
+    assert stats.rho_calls == stats.rho_iterations == 0
+
+    sieve_requests.clear()
+    capped = Budget(trial_division_bound=100)
+    for x in small[:300] + [1021 * 1031, 1_999_993 * 2_000_003]:
+        assert factor_natural(x, capped).reconstructs()
+    assert max(sieve_requests) <= 100
+
+
+def test_trial_sieve_tables_stay_cached(sieve_requests):
+    # Composites just below each rung, and just above it (the next rung).
+    deep_first = [below * q for below, above in reversed(RUNG_PRIMES) for q in (above, below)]
+    for x in deep_first:
+        factor_natural(x)
+    assert sorted(set(sieve_requests)) == list(RUNGS)
+    misses = _sieve_primes.cache_info().misses
+    for _ in range(3):
+        for x in deep_first[::-1] + [6, 360, 4095] + deep_first:
+            factor_natural(x)
+    assert _sieve_primes.cache_info().misses == misses
+
+
+def _rung_edge_values():
+    for below, above in RUNG_PRIMES:
+        yield from (below * below, below * above, above * above)
+    for rung in RUNGS[:-1]:
+        for root in (rung - 1, rung, rung + 1):
+            yield from (root * root - 1, root * root, root * root + 1)
+            yield root * root + 2 * root  # largest x with isqrt(x) == root
+
+
+@pytest.mark.parametrize("bound", [3, 100, DEFAULT_BUDGET.trial_division_bound])
+def test_factor_natural_matches_sympy_at_rung_edges(bound):
+    sympy = pytest.importorskip("sympy")
+    assert RUNG_PRIMES == tuple((sympy.prevprime(r), sympy.nextprime(r)) for r in RUNGS)
+    # A small rho budget leaves some results partial under the low bounds.
+    budget = Budget(rho_iterations_max=1 << 8, trial_division_bound=bound)
+    for x in _rung_edge_values():
+        f = factor_natural(x, budget)
+        assert f.reconstructs(), x
+        expected = sympy.factorint(x)
+        if f.complete:
+            assert dict(f.factors) == expected, x
+        else:
+            assert all(expected.get(p) == e for p, e in f.factors), x
+            assert not sympy.isprime(f.cofactor), x
 
 
 def test_trial_divide_congruence_examples():
