@@ -59,43 +59,27 @@ def divisor_list(n: int) -> list[int]:
     return sorted(divisors)
 
 
-def _mobius(m: int) -> int:
-    f = factor_natural(m)
-    if any(e > 1 for _, e in f.factors):
-        return 0
-    return -1 if f.omega % 2 else 1
-
-
 def cyclotomic_value(d: int) -> int:
-    """Phi_d(2), computed exactly as the Moebius product of 2^e - 1 over
-    e | d (multiply the mu = +1 terms, divide by the mu = -1 terms)."""
+    """Phi_d(2): 1 for d = 1, otherwise the last part of
+    cyclotomic_split(d)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    numerator = 1
-    denominator = 1
-    for e in divisor_list(d):
-        mu = _mobius(d // e)
-        if mu == 1:
-            numerator *= (1 << e) - 1
-        elif mu == -1:
-            denominator *= (1 << e) - 1
-    return numerator // denominator
+    return 1 if d == 1 else cyclotomic_split(d)[-1].value
 
 
 def cyclotomic_split(n: int) -> list[CyclotomicPart]:
     """Parts Phi_d(2) for every divisor d of n with d >= 2, ascending in d.
 
+    One pass over the divisors in ascending order: Phi_d(2) is 2^d - 1
+    divided by the Phi_e(2) already found for the proper divisors e of d.
     Together with Phi_1(2) = 1 their product is 2^n - 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    parts = []
+    values: dict[int, int] = {}
     for d in divisor_list(n):
-        if d < 2:
-            continue
-        value = cyclotomic_value(d)
-        parts.append(CyclotomicPart(d, value, math.gcd(value, d)))
-    return parts
+        values[d] = mersenne(d) // math.prod(v for e, v in values.items() if d % e == 0)
+    return [CyclotomicPart(d, v, math.gcd(v, d)) for d, v in values.items() if d >= 2]
 
 
 def multiplicative_order_of_two(q: int, divisor_hint: int | None = None) -> int:

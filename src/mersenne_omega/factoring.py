@@ -118,27 +118,17 @@ class Factorization:
 
 @dataclass
 class FactorStats:
-    """Observable work counters, accumulated across calls when reused."""
+    """Work counters, accumulated across calls when reused.
+
+    It is also the rho ledger: each top-level call caps rho_iterations at
+    its value on entry plus the budget's rho_iterations_max, so one object
+    must not serve two concurrent calls.
+    """
 
     rho_iterations: int = 0
     rho_calls: int = 0
     trial_candidates: int = 0
     cache_hits: int = 0
-
-
-class _RhoTracker:
-    """Shared iteration allowance for every rho call under one budget."""
-
-    __slots__ = ("remaining", "stats")
-
-    def __init__(self, limit: int, stats: FactorStats | None):
-        self.remaining = limit
-        self.stats = stats
-
-    def spend(self, steps: int) -> None:
-        self.remaining -= steps
-        if self.stats is not None:
-            self.stats.rho_iterations += steps
 
 
 # Trial division reuses its tables across calls: one per rung of
@@ -159,32 +149,32 @@ def _trial_limit(x: int, bound: int) -> int:
     return min(bound, 1 << (bits + (bits & 1)))
 
 
-def _rho_brent(x: int, c: int, tracker: _RhoTracker) -> int | None:
+def _rho_brent(x: int, c: int, stats: FactorStats, ceiling: int) -> int | None:
     """One Brent-cycle rho attempt on odd composite x with y <- y^2 + c.
 
-    Returns a nontrivial divisor, or None when the budget runs out or the
-    cycle closes without exposing a factor.  gcds are batched every 128
-    steps.  Fully deterministic in (x, c, remaining budget).
+    Returns a nontrivial divisor, or None when stats.rho_iterations would
+    pass ceiling or the cycle closes without exposing a factor.  gcds are
+    batched every 128 steps.  Fully deterministic in (x, c, remaining
+    budget).
     """
-    if tracker.stats is not None:
-        tracker.stats.rho_calls += 1
+    stats.rho_calls += 1
     batch = 128
     y, r, q = 2, 1, 1
     g, xs, ys = 1, 0, 0
     while g == 1:
         xs = y
-        if tracker.remaining < r:
+        if stats.rho_iterations + r > ceiling:
             return None
-        tracker.spend(r)
+        stats.rho_iterations += r
         for _ in range(r):
             y = (y * y + c) % x
         k = 0
         while k < r and g == 1:
             ys = y
             steps = min(batch, r - k)
-            if tracker.remaining < steps:
+            if stats.rho_iterations + steps > ceiling:
                 return None
-            tracker.spend(steps)
+            stats.rho_iterations += steps
             for _ in range(steps):
                 y = (y * y + c) % x
                 q = q * (xs - y) % x
@@ -218,14 +208,16 @@ def pollard_rho_brent(
     if _prime_like(x):
         raise ValueError("x must be composite")
     budget = budget or DEFAULT_BUDGET
-    return _rho_brent(x, seed, _RhoTracker(budget.rho_iterations_max, stats))
+    stats = stats or FactorStats()
+    return _rho_brent(x, seed, stats, stats.rho_iterations + budget.rho_iterations_max)
 
 
-def _factor_with_rho(value: int, tracker: _RhoTracker, counts: Counter) -> int:
-    """Fully factor value (known composite or 1) into counts.
+def _factor_with_rho(value: int, stats: FactorStats, ceiling: int, counts: Counter) -> int:
+    """Fully factor value (1, a prime, a perfect power or a composite)
+    into counts.
 
-    Returns the product of whatever composite pieces remain when the rho
-    budget is exhausted (1 when none).
+    Returns the product of whatever composite pieces remain when
+    stats.rho_iterations reaches ceiling (1 when none).
     """
     leftover = 1
     stack = [(value, 1)]
@@ -243,8 +235,8 @@ def _factor_with_rho(value: int, tracker: _RhoTracker, counts: Counter) -> int:
             continue
         divisor = None
         seed = 1
-        while divisor is None and tracker.remaining > 0:
-            divisor = _rho_brent(v, seed, tracker)
+        while divisor is None and stats.rho_iterations < ceiling:
+            divisor = _rho_brent(v, seed, stats, ceiling)
             seed += 1
         if divisor is None:
             leftover *= v**multiplicity
@@ -264,41 +256,32 @@ def factor_natural(
     if x < 1:
         raise ValueError("x must be >= 1")
     budget = budget or DEFAULT_BUDGET
+    stats = stats or FactorStats()
     if x == 1:
         return Factorization(1, ())
+    if _prime_like(x):
+        return Factorization(x, ((x, 1),))
     counts: Counter = Counter()
     remaining = x
-    proven_done = False
-    if _prime_like(remaining):
-        counts[remaining] = 1
-        remaining = 1
-        proven_done = True
-    else:
-        for p in _sieve_primes(_trial_limit(remaining, budget.trial_division_bound)):
-            if p * p > remaining:
-                if remaining > 1:
-                    counts[remaining] += 1
-                    remaining = 1
-                proven_done = True
-                break
-            if remaining % p == 0:
-                e = 0
-                while remaining % p == 0:
-                    remaining //= p
-                    e += 1
-                counts[p] += e
-                if remaining == 1:
-                    proven_done = True
-                    break
-                if _prime_like(remaining):
-                    counts[remaining] += 1
-                    remaining = 1
-                    proven_done = True
-                    break
     cofactor = 1
-    if not proven_done and remaining > 1:
-        tracker = _RhoTracker(budget.rho_iterations_max, stats)
-        cofactor = _factor_with_rho(remaining, tracker, counts)
+    for p in _sieve_primes(_trial_limit(x, budget.trial_division_bound)):
+        if p * p > remaining:
+            counts[remaining] += 1
+            break
+        if remaining % p == 0:
+            e = 0
+            while remaining % p == 0:
+                remaining //= p
+                e += 1
+            counts[p] += e
+            if remaining == 1:
+                break
+            if _prime_like(remaining):
+                counts[remaining] += 1
+                break
+    else:
+        ceiling = stats.rho_iterations + budget.rho_iterations_max
+        cofactor = _factor_with_rho(remaining, stats, ceiling, counts)
     return Factorization(x, tuple(sorted(counts.items())), cofactor)
 
 
@@ -316,6 +299,7 @@ def trial_divide_congruence(
         raise ValueError("d must be >= 2")
     if target % 2 == 0:
         raise ValueError("target must be odd")
+    stats = stats or FactorStats()
     filter_mod_8 = d % 2 == 1 and _prime_like(d)
     found: list[int] = []
     remaining = target
@@ -327,8 +311,7 @@ def trial_divide_congruence(
             break
         if filter_mod_8 and q & 7 not in (1, 7):
             continue
-        if stats is not None:
-            stats.trial_candidates += 1
+        stats.trial_candidates += 1
         if remaining % q:
             continue
         if not _prime_like(q):
@@ -351,20 +334,20 @@ def factor_mersenne(
     2^n - 1 into the cyclotomic parts belonging to each divisor d of n
     with d >= 2 (their product is the whole number); (3) strip each
     part's intrinsic prime and any primes already known from a partial
-    cache entry, then run the 2*d*l + 1 congruence scan, then rho; (4)
-    primality-check every surviving cofactor.  Results are merged across
-    parts, sorted, and written back to the cache.  On budget exhaustion
-    the composite remainder is reported in cofactor and status is
-    partial.
+    cache entry, then run the 2*d*l + 1 congruence scan; (4) hand what
+    survives to rho, which also settles primes and perfect powers.
+    Results are merged across parts, sorted, and written back to the
+    cache.  On budget exhaustion the composite remainder is reported in
+    cofactor and status is partial.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     budget = budget or DEFAULT_BUDGET
+    stats = stats or FactorStats()
     if cache is not None:
         hit = cache.get(n)
         if hit is not None and hit.complete:
-            if stats is not None:
-                stats.cache_hits += 1
+            stats.cache_hits += 1
             return hit
         known = hit.primes() if hit is not None else ()
     else:
@@ -374,11 +357,9 @@ def factor_mersenne(
 
     counts: Counter = Counter()
     leftover = 1
-    tracker = _RhoTracker(budget.rho_iterations_max, stats)
+    ceiling = stats.rho_iterations + budget.rho_iterations_max
     for part in cyclotomic_split(n):
         v = part.value
-        if v == 1:
-            continue
         if part.intrinsic > 1:
             while v % part.intrinsic == 0:
                 v //= part.intrinsic
@@ -398,12 +379,7 @@ def factor_mersenne(
             while v % q == 0:
                 v //= q
                 counts[q] += 1
-        if v == 1:
-            continue
-        if _prime_like(v):
-            counts[v] += 1
-            continue
-        leftover *= _factor_with_rho(v, tracker, counts)
+        leftover *= _factor_with_rho(v, stats, ceiling, counts)
     result = Factorization(mersenne(n), tuple(sorted(counts.items())), leftover)
     if cache is not None:
         result = cache.add_primes(n, result.primes())

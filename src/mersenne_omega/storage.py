@@ -141,7 +141,7 @@ def load_cache(path) -> FactorCache:
             factors = tuple((int(p), int(e)) for p, e in raw["factors"])
             cofactor = int(raw.get("cofactor", "1"))
             entry = _verify_entry(n, factors, cofactor, raw["status"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             problems.append(f"n={raw.get('n', '?')}: {exc}")
             continue
         cache._entries[n] = entry

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import mersenne_omega
@@ -25,3 +27,16 @@ def test_arith_imports_nothing_from_the_package():
 def test_trial_sieve_keeps_its_name():
     # perfbench/spans.py traces the cached trial-division sieve under this name.
     assert factoring._sieve_primes(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def test_work_ledger_keeps_its_binding():
+    # perfbench/spans.py builds a FactorStats when factor_mersenne gets
+    # none, and reads these four counters around each call.
+    fields = [f.name for f in dataclasses.fields(factoring.FactorStats())]
+    assert fields == ["rho_iterations", "rho_calls", "trial_candidates", "cache_hits"]
+    assert list(inspect.signature(factoring.factor_mersenne).parameters) == [
+        "n",
+        "budget",
+        "cache",
+        "stats",
+    ]

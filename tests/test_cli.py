@@ -271,7 +271,13 @@ def test_corrupt_cache_aborts_with_io_exit(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text", ['{"version": 1, "entries": 5}', '{"version": 1, "entries": [5]}']
+    "text",
+    [
+        '{"version": 1, "entries": 5}',
+        '{"version": 1, "entries": [5]}',
+        '{"version": 1, "entries": [{"n": 1e400, "factors": [], "status": "complete"}]}',
+        '{"version": 1, "entries": [{"n": 11, "factors": [[23, 1e400], [89, 1]], "status": "complete"}]}',
+    ],
 )
 def test_malformed_cache_aborts_with_io_exit(capsys, tmp_path, text):
     cache_path = tmp_path / "cache.json"

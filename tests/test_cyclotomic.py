@@ -39,6 +39,15 @@ def test_cyclotomic_product_identity():
         assert product == mersenne(n), n
 
 
+def test_cyclotomic_value_matches_sympy():
+    # The split divides 2^d - 1 by the earlier parts, so the product
+    # identity above holds by construction; sympy evaluates Phi_d
+    # independently.
+    sympy = pytest.importorskip("sympy")
+    for d in range(1, 401):
+        assert cyclotomic_value(d) == int(sympy.cyclotomic_poly(d, 2)), d
+
+
 def test_cyclotomic_split_examples():
     parts = {p.d: p for p in cyclotomic_split(6)}
     assert {d: p.value for d, p in parts.items()} == {2: 3, 3: 7, 6: 3}

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from mersenne_omega import (
     pollard_rho_brent,
     trial_divide_congruence,
 )
+from mersenne_omega import arith
 from mersenne_omega.factoring import _sieve_primes
 
 
@@ -162,6 +164,41 @@ def test_pollard_rho_brent_is_deterministic():
     a = pollard_rho_brent(600851475143, 1)
     b = pollard_rho_brent(600851475143, 1)
     assert a == b
+
+
+def test_pollard_rho_brent_stops_at_the_budget():
+    # 8051 = 83 * 97 splits after exactly 6 iterations with seed 1; the
+    # next step needs 2 more, so a budget of 5 stops at 4.
+    s = FactorStats()
+    assert pollard_rho_brent(8051, 1, Budget(rho_iterations_max=6), s) == 97
+    assert s.rho_iterations == 6
+    s = FactorStats()
+    assert pollard_rho_brent(8051, 1, Budget(rho_iterations_max=5), s) is None
+    assert s.rho_iterations == 4
+
+
+def test_reused_stats_give_each_call_its_own_budget():
+    s = FactorStats()
+    budget = Budget(rho_iterations_max=1000)
+    first = factor_mersenne(101, budget, stats=s)
+    assert s.rho_iterations == 1000
+    assert factor_mersenne(101, budget, stats=s) == first
+    assert s.rho_iterations == 2000
+
+
+@pytest.mark.parametrize("n", [101, 1050])
+def test_factor_mersenne_tests_no_big_value_three_times(monkeypatch, n):
+    tested = Counter()
+    original = arith.is_probable_prime
+
+    def counting(x):
+        tested[x] += 1
+        return original(x)
+
+    monkeypatch.setattr(arith, "is_probable_prime", counting)
+    factor_mersenne(n, Budget(rho_iterations_max=1000))
+    big = {x: k for x, k in tested.items() if x >= 1 << 64}
+    assert big and max(big.values()) <= 2
 
 
 def test_factor_mersenne_examples():

@@ -108,6 +108,8 @@ def test_load_rejects_bad_version_and_bad_json(tmp_path):
         '{"version": 1, "entries": 5}',
         '{"version": 1, "entries": [5]}',
         '{"version": 1, "entries": [{"n": 11, "factors": [["23", 1], ["89", 1]], "status": "complete"}, "x"]}',
+        '{"version": 1, "entries": [{"n": 1e400, "factors": [], "status": "complete"}]}',
+        '{"version": 1, "entries": [{"n": 11, "factors": [[23, 1e400], [89, 1]], "status": "complete"}]}',
     ],
 )
 def test_load_rejects_malformed_entries(tmp_path, text):
