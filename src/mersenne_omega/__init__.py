@@ -1,128 +1,23 @@
 """Factorizations, primitive divisors, and prime-factor-count
 classification for Mersenne numbers 2^n - 1 over desk-scale ranges."""
 
-from .arith import (
-    Verdict,
-    integer_root,
-    is_perfect_power,
-    is_probable_prime,
-    lucas_lehmer,
-    mersenne,
-    mod_mersenne,
-)
-from .census import (
-    ASYMPTOTIC_NOTE,
-    CensusConfig,
-    CensusRecord,
-    CensusSummary,
-    hw_bounds,
-    index_functions,
-    run_census,
-)
-from .classify import (
-    OMEGA_MORE,
-    CandidateForm,
-    ClassificationReport,
-    Clause,
-    DivisorFormCheck,
-    IdentityReport,
-    Shape,
-    SuiteResult,
-    classify_index,
-    lower_bound_divisors,
-    lower_bound_omega,
-    validate_divisor_form,
-    verify_identities,
-    verify_structure,
-    verify_structures_in_range,
-)
-from .cyclotomic import (
-    CyclotomicPart,
-    PrimitiveReport,
-    cyclotomic_split,
-    cyclotomic_value,
-    divisor_list,
-    mersenne_quotient_residue,
-    multiplicative_order_of_two,
-    primitive_prime_divisors,
-)
-from .factoring import (
-    DEFAULT_BUDGET,
-    Budget,
-    Factorization,
-    FactorStats,
-    factor_mersenne,
-    factor_natural,
-    pollard_rho_brent,
-    trial_divide_congruence,
-)
-from .storage import (
-    CACHE_VERSION,
-    CacheError,
-    FactorCache,
-    ImportSummary,
-    census_csv,
-    import_known_factors,
-    load_cache,
-    report_json,
-    save_cache,
-)
+from . import arith, census, classify, cyclotomic, factoring, storage
+from .arith import *
+from .census import *
+from .classify import *
+from .cyclotomic import *
+from .factoring import *
+from .storage import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ASYMPTOTIC_NOTE",
-    "Budget",
-    "CACHE_VERSION",
-    "CacheError",
-    "CandidateForm",
-    "CensusConfig",
-    "CensusRecord",
-    "CensusSummary",
-    "ClassificationReport",
-    "Clause",
-    "CyclotomicPart",
-    "DEFAULT_BUDGET",
-    "DivisorFormCheck",
-    "FactorCache",
-    "FactorStats",
-    "Factorization",
-    "IdentityReport",
-    "ImportSummary",
-    "OMEGA_MORE",
-    "PrimitiveReport",
-    "Shape",
-    "SuiteResult",
-    "Verdict",
-    "census_csv",
-    "classify_index",
-    "cyclotomic_split",
-    "cyclotomic_value",
-    "divisor_list",
-    "factor_mersenne",
-    "factor_natural",
-    "hw_bounds",
-    "import_known_factors",
-    "index_functions",
-    "integer_root",
-    "is_perfect_power",
-    "is_probable_prime",
-    "load_cache",
-    "lower_bound_divisors",
-    "lower_bound_omega",
-    "lucas_lehmer",
-    "mersenne",
-    "mersenne_quotient_residue",
-    "mod_mersenne",
-    "multiplicative_order_of_two",
-    "pollard_rho_brent",
-    "primitive_prime_divisors",
-    "report_json",
-    "run_census",
-    "save_cache",
-    "trial_divide_congruence",
-    "validate_divisor_form",
-    "verify_identities",
-    "verify_structure",
-    "verify_structures_in_range",
-]
+__all__ = sorted(
+    {
+        *arith.__all__,
+        *census.__all__,
+        *classify.__all__,
+        *cyclotomic.__all__,
+        *factoring.__all__,
+        *storage.__all__,
+    }
+)

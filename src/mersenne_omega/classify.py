@@ -168,45 +168,17 @@ def lower_bound_divisors(n: int) -> int:
     return len(divisors) - excluded + (1 if n % 2 == 0 else 0)
 
 
-_ELIGIBLE_1 = frozenset({Shape.TWO, Shape.PRIME})
-_ELIGIBLE_2 = frozenset({Shape.SPECIAL4, Shape.SPECIAL6, Shape.PRIME, Shape.PRIME_SQUARED})
-_ELIGIBLE_3 = frozenset(
-    {
-        Shape.SPECIAL8,
-        Shape.PRIME,
-        Shape.TWO_TIMES_PRIME,
-        Shape.TWO_DISTINCT_PRIMES,
-        Shape.PRIME_SQUARED,
-        Shape.PRIME_CUBED,
-    }
-)
-_ELIGIBLE_MORE = frozenset(
-    {
-        Shape.PRIME,
-        Shape.PRIME_SQUARED,
-        Shape.PRIME_CUBED,
-        Shape.TWO_TIMES_PRIME,
-        Shape.TWO_DISTINCT_PRIMES,
-        Shape.OTHER,
-    }
-)
+# Indices whose Mersenne number the classification names outright.
+_FIXED_SHAPES = {1: Shape.ONE, 2: Shape.TWO, 4: Shape.SPECIAL4, 6: Shape.SPECIAL6, 8: Shape.SPECIAL8}
 
 
 def _shape_of(n: int) -> Shape:
-    if n == 1:
-        return Shape.ONE
-    if n == 2:
-        return Shape.TWO
-    if n == 4:
-        return Shape.SPECIAL4
-    if n == 6:
-        return Shape.SPECIAL6
-    if n == 8:
-        return Shape.SPECIAL8
+    if n in _FIXED_SHAPES:
+        return _FIXED_SHAPES[n]
     f = factor_natural(n)
     if f.omega == 1:
         exponent = f.factors[0][1]
-        # Prime powers of 2 up to 8 were handled above, so the base is odd.
+        # Prime powers of 2 up to 8 are fixed shapes, so the base is odd.
         if exponent == 1:
             return Shape.PRIME
         if exponent == 2:
@@ -220,6 +192,29 @@ def _shape_of(n: int) -> Shape:
     return Shape.OTHER
 
 
+# The classification: (omega, shape of n) -> the clause whose decomposition
+# a factorization of 2^n - 1 with exactly omega distinct primes must
+# satisfy.  A shape with no entry at k <= 3 cannot have k primes; every
+# shape outside the fixed ones may have more than 3.
+_CLAUSES = {
+    (0, Shape.ONE): Clause.NONE,
+    (1, Shape.TWO): Clause.T1,
+    (1, Shape.PRIME): Clause.T1,
+    (2, Shape.SPECIAL4): Clause.T2_SPECIAL,
+    (2, Shape.SPECIAL6): Clause.T2_SPECIAL,
+    (2, Shape.PRIME): Clause.T2_II,
+    (2, Shape.PRIME_SQUARED): Clause.T2_I,
+    (3, Shape.SPECIAL8): Clause.T3_SPECIAL,
+    (3, Shape.PRIME): Clause.T3_V,
+    (3, Shape.TWO_TIMES_PRIME): Clause.T3_I,
+    (3, Shape.TWO_DISTINCT_PRIMES): Clause.T3_II,
+    (3, Shape.PRIME_SQUARED): Clause.T3_III,
+    (3, Shape.PRIME_CUBED): Clause.T3_IV,
+}
+
+_SPECIAL_FACTORS = {4: ((3, 1), (5, 1)), 6: ((3, 2), (7, 1)), 8: ((3, 1), (5, 1), (17, 1))}
+
+
 def classify_index(n: int) -> CandidateForm:
     """Shape of n, the provable floor on omega(2^n - 1), and the set of
     values in {1, 2, 3, more} that the classification results permit."""
@@ -227,14 +222,8 @@ def classify_index(n: int) -> CandidateForm:
         raise ValueError("n must be >= 1")
     shape = _shape_of(n)
     min_omega = max(lower_bound_omega(n), lower_bound_divisors(n))
-    eligible = set()
-    if shape in _ELIGIBLE_1 and min_omega <= 1:
-        eligible.add(1)
-    if shape in _ELIGIBLE_2 and min_omega <= 2:
-        eligible.add(2)
-    if shape in _ELIGIBLE_3 and min_omega <= 3:
-        eligible.add(3)
-    if shape in _ELIGIBLE_MORE:
+    eligible = {k for k, s in _CLAUSES if s is shape and min_omega <= k}
+    if n not in _FIXED_SHAPES:
         eligible.add(OMEGA_MORE)
     return CandidateForm(n, shape, min_omega, frozenset(eligible))
 
@@ -266,68 +255,55 @@ def _exponent_gcd(f: Factorization) -> int:
     return math.gcd(*(e for _, e in f.factors)) if f.factors else 0
 
 
+def _clause_holds(clause: Clause, n: int, f: Factorization) -> bool:
+    """Check the clause-level decomposition of a factorization of 2^n - 1."""
+    if clause is Clause.NONE:
+        return True
+    if clause is Clause.T1:
+        return f.factors == ((mersenne(n), 1),)
+    if clause is Clause.T2_SPECIAL or clause is Clause.T3_SPECIAL:
+        return f.factors == _SPECIAL_FACTORS[n]
+    if clause is Clause.T2_II or clause is Clause.T3_V:
+        return _exponent_gcd(f) == 1
+    if clause is Clause.T2_I:
+        return f.exponent_of(mersenne(math.isqrt(n))) == 1
+    if clause is Clause.T3_I:
+        return f.exponent_of(3) == 1 and f.exponent_of(mersenne(n // 2)) == 1
+    if clause is Clause.T3_II:
+        p1, p2 = (p for p, _ in factor_natural(n).factors)
+        s = f.exponent_of(mersenne(p1))
+        t = f.exponent_of(mersenne(p2))
+        ok = s >= 1 and t >= 1 and _exponent_gcd(f) == 1
+        if p2 != mersenne(p1):
+            # 2^p1 - 1 does not divide p2, so both inner exponents
+            # must collapse to 1.
+            ok = ok and s == 1 and t == 1
+        return ok
+    if clause is Clause.T3_III:
+        p1 = math.isqrt(n)
+        inner = factor_natural(mersenne(p1))
+        if inner.omega == 1:
+            return f.exponent_of(mersenne(p1)) == 1
+        if inner.omega == 2:
+            (p, s), (q, t) = inner.factors
+            return math.gcd(s, t) == 1 and f.exponent_of(p) == s and f.exponent_of(q) == t
+        return False
+    # T3_IV
+    mp = mersenne(integer_root(n, 3))
+    outer = [e for p, e in f.factors if p != mp]
+    return f.exponent_of(mp) == 1 and math.gcd(*outer) == 1
+
+
 def _match_clause(n: int, f: Factorization, shape: Shape) -> tuple[Clause, bool]:
-    """Pick the clause n's shape belongs to and check the clause-level
-    decomposition of the factorization.  Returns (clause, holds)."""
-    omega = f.omega
-    if omega == 0:
-        return Clause.NONE, n == 1
-    if omega == 1:
-        ok = shape in (Shape.TWO, Shape.PRIME) and f.factors == ((mersenne(n), 1),)
-        return (Clause.T1, ok) if ok else (Clause.NONE, False)
-    if omega == 2:
-        if n == 4:
-            return Clause.T2_SPECIAL, f.factors == ((3, 1), (5, 1))
-        if n == 6:
-            return Clause.T2_SPECIAL, f.factors == ((3, 2), (7, 1))
-        if shape is Shape.PRIME:
-            return Clause.T2_II, _exponent_gcd(f) == 1
-        if shape is Shape.PRIME_SQUARED:
-            p1 = math.isqrt(n)
-            return Clause.T2_I, f.exponent_of(mersenne(p1)) == 1
+    """Pick the clause (omega, shape) falls under and check it.  Returns
+    (clause, holds); the classification says nothing about omega > 3."""
+    clause = _CLAUSES.get((f.omega, shape))
+    if clause is None:
+        return Clause.NONE, f.omega > 3
+    holds = _clause_holds(clause, n, f)
+    if clause is Clause.T1 and not holds:
         return Clause.NONE, False
-    if omega == 3:
-        if n == 8:
-            return Clause.T3_SPECIAL, f.factors == ((3, 1), (5, 1), (17, 1))
-        if shape is Shape.PRIME:
-            return Clause.T3_V, _exponent_gcd(f) == 1
-        if shape is Shape.TWO_TIMES_PRIME:
-            p1 = n // 2
-            ok = f.exponent_of(3) == 1 and f.exponent_of(mersenne(p1)) == 1
-            return Clause.T3_I, ok
-        if shape is Shape.TWO_DISTINCT_PRIMES:
-            p1, p2 = (p for p, _ in factor_natural(n).factors)
-            s = f.exponent_of(mersenne(p1))
-            t = f.exponent_of(mersenne(p2))
-            ok = s >= 1 and t >= 1 and _exponent_gcd(f) == 1
-            if p2 != mersenne(p1):
-                # 2^p1 - 1 does not divide p2, so both inner exponents
-                # must collapse to 1.
-                ok = ok and s == 1 and t == 1
-            return Clause.T3_II, ok
-        if shape is Shape.PRIME_SQUARED:
-            p1 = math.isqrt(n)
-            inner = factor_natural(mersenne(p1))
-            if inner.omega == 1:
-                ok = f.exponent_of(mersenne(p1)) == 1
-            elif inner.omega == 2:
-                (p, s), (q, t) = inner.factors
-                ok = (
-                    math.gcd(s, t) == 1
-                    and f.exponent_of(p) == s
-                    and f.exponent_of(q) == t
-                )
-            else:
-                ok = False
-            return Clause.T3_III, ok
-        if shape is Shape.PRIME_CUBED:
-            p1 = integer_root(n, 3)
-            mp = mersenne(p1)
-            outer = [e for p, e in f.factors if p != mp]
-            ok = f.exponent_of(mp) == 1 and math.gcd(*outer) == 1
-            return Clause.T3_IV, ok
-        return Clause.NONE, False
-    return Clause.NONE, True
+    return clause, holds
 
 
 def verify_structure(n: int, f: Factorization) -> ClassificationReport:

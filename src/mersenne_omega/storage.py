@@ -10,8 +10,9 @@ Cache file format (single JSON document, UTF-8, trailing newline):
 
 Primes and cofactors are decimal strings so arbitrary precision survives
 any JSON parser; entries are sorted by n and keys have a fixed order, so
-serialization is canonical.  Every entry is re-verified on load (product
-reconstruction and primality of the listed primes) — the file is never
+serialization is canonical.  Every entry is re-verified on load (dividing
+2^n - 1 by each listed prime as often as its exponent says must leave the
+cofactor, and the listed primes must be prime) — the file is never
 trusted.  Saving renames a finished temporary file over the old one, so
 a crash mid-write leaves the old file intact.
 
@@ -109,7 +110,15 @@ class FactorCache:
 
 def _verify_entry(n: int, factors, cofactor: int, status: str) -> Factorization:
     entry = Factorization(mersenne(n), factors, cofactor)
-    if not entry.reconstructs():
+    # Divide rather than multiply out: a forged exponent is refused after
+    # at most n divisions instead of building p^e.
+    rest = entry.target
+    for p, e in factors:
+        for _ in range(e):
+            rest, remainder = divmod(rest, p)
+            if remainder:
+                raise ValueError("factor product does not reconstruct 2^n - 1")
+    if rest != cofactor:
         raise ValueError("factor product does not reconstruct 2^n - 1")
     if entry.status != status:
         raise ValueError(f"status {status!r} disagrees with cofactor")
@@ -172,8 +181,11 @@ def save_cache(cache: FactorCache, path) -> None:
     try:
         tmp.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # Name the user's path, not the temporary one.
+            raise OSError(exc.errno, exc.strerror, str(target)) from exc
         raise
 
 

@@ -18,6 +18,16 @@ def test_package_exports_the_union_of_submodule_exports():
     assert all(hasattr(mersenne_omega, name) for name in mersenne_omega.__all__)
 
 
+def test_submodule_exports_are_disjoint_and_the_package_list_sorted():
+    # A name exported by two submodules would be shadowed by the star import
+    # that comes later in the package's __init__.
+    exports = [set(importlib.import_module(f"mersenne_omega.{name}").__all__) for name in SUBMODULES]
+    for i, first in enumerate(exports):
+        for second in exports[i + 1 :]:
+            assert first.isdisjoint(second)
+    assert mersenne_omega.__all__ == sorted(mersenne_omega.__all__)
+
+
 def test_arith_imports_nothing_from_the_package():
     tree = ast.parse(Path(mersenne_omega.__file__).with_name("arith.py").read_text())
     relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]

@@ -93,6 +93,33 @@ def test_classify_index_eligibility():
     assert form.allows(3) and form.allows(7) and not form.allows(2)
 
 
+@pytest.mark.parametrize(
+    "n, shape, min_omega, eligible",
+    [
+        (2, "two", 1, [1]),
+        (3, "prime", 1, [1, 2, 3, "more"]),
+        (4, "special4", 2, [2]),
+        (6, "special6", 2, [2]),
+        (8, "special8", 3, [3]),
+        (9, "prime_squared", 2, [2, 3, "more"]),
+        (10, "two_times_prime", 3, [3, "more"]),
+        (12, "other", 4, ["more"]),
+        (15, "two_distinct_primes", 3, [3, "more"]),
+        (27, "prime_cubed", 3, [3, "more"]),
+        (343, "prime_cubed", 3, [3, "more"]),
+    ],
+)
+def test_classify_index_pins_each_shape(n, shape, min_omega, eligible):
+    form = classify_index(n)
+    assert (form.shape.value, form.min_omega, form.eligible_sorted()) == (shape, min_omega, eligible)
+
+
+def test_index_one_is_consistent_with_no_primes():
+    assert classify_index(1).eligible_sorted() == [0]
+    report = verify_structure(1, factor_mersenne(1))
+    assert (report.omega, report.matched_clause, report.consistent) == (0, Clause.NONE, True)
+
+
 def test_classify_index_floor_never_below_eligible():
     for n in range(1, 129):
         form = classify_index(n)

@@ -131,6 +131,16 @@ def test_classify_json(capsys):
     ]
 
 
+def test_classify_one_is_consistent(capsys):
+    code, out, _ = run(capsys, "classify", "1")
+    assert code == 0
+    assert out == (
+        '{\n  "n": 1,\n  "shape": "one",\n  "min_omega": 0,\n  "eligible_omega": [\n    0\n  ],\n'
+        '  "omega": 0,\n  "matched_clause": "none",\n  "decomposition": "1",\n'
+        '  "consistent": true,\n  "divisor_form_checks": []\n}\n'
+    )
+
+
 def test_classify_to_file(capsys, tmp_path):
     code, out, _ = run(capsys, "classify", "9")
     assert code == 0
@@ -228,6 +238,13 @@ def test_import_requires_cache(capsys, monkeypatch):
 def test_import_missing_file_is_io_error(capsys, tmp_path):
     code, _, err = run(capsys, "import", str(tmp_path / "nope.txt"), "--cache", str(tmp_path / "c.json"))
     assert code == 4
+
+
+def test_failed_cache_save_names_the_cache_path(capsys, tmp_path):
+    path = tmp_path / "missing" / "c.json"
+    code, _, err = run(capsys, "factor", "5", "--cache", str(path))
+    assert code == 4
+    assert "c.json" in err and ".tmp" not in err
 
 
 def _stat(err, name):

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,7 @@ def test_load_rejects_bad_version_and_bad_json(tmp_path):
         '{"version": 1, "entries": [{"n": 11, "factors": [["23", 1], ["89", 1]], "status": "complete"}, "x"]}',
         '{"version": 1, "entries": [{"n": 1e400, "factors": [], "status": "complete"}]}',
         '{"version": 1, "entries": [{"n": 11, "factors": [[23, 1e400], [89, 1]], "status": "complete"}]}',
+        '{"version": 1, "entries": [{"n": 11, "factors": [["23", 3000000], ["89", 1]], "status": "complete"}]}',
     ],
 )
 def test_load_rejects_malformed_entries(tmp_path, text):
@@ -117,6 +119,16 @@ def test_load_rejects_malformed_entries(tmp_path, text):
     path.write_text(text)
     with pytest.raises(CacheError):
         load_cache(path)
+
+
+def test_load_rejects_a_huge_exponent_without_building_the_power(tmp_path):
+    path = tmp_path / "bad.json"
+    entry = {"n": 11, "factors": [["23", 10**7], ["89", 1]], "status": "complete"}
+    path.write_text(json.dumps({"version": 1, "entries": [entry]}))
+    start = time.perf_counter()
+    with pytest.raises(CacheError, match="does not reconstruct"):
+        load_cache(path)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_failed_save_keeps_old_file(populated_cache, tmp_path, monkeypatch):
