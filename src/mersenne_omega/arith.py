@@ -162,9 +162,13 @@ def is_probable_prime(x: int) -> Verdict:
 
     Below 2^64 the verdict is deterministic (strong tests against a base
     set proven exhaustive for that range).  At or above 2^64 the verdict
-    is COMPOSITE or PROBABLE_PRIME: a strong base-2 test, a strong Lucas
-    test with Selfridge parameters, and _EXTRA_ROUNDS further strong
-    tests with bases drawn from a fixed seed.
+    is COMPOSITE or PROBABLE_PRIME: a strong base-3 test, a strong base-2
+    test, a strong Lucas test with Selfridge parameters, and
+    _EXTRA_ROUNDS further strong tests with bases drawn from a fixed
+    seed.  Base 3 runs first because base 2 is blind on this package's
+    values: every composite 2^p - 1 with p prime passes the strong base-2
+    test, and every cofactor of Phi_d(2) coprime to d passes the base-2
+    Fermat test.
     """
     if x < 2:
         return Verdict.COMPOSITE
@@ -178,8 +182,9 @@ def is_probable_prime(x: int) -> Verdict:
             if not _is_strong_probable_prime(x, base):
                 return Verdict.COMPOSITE
         return Verdict.PRIME
-    if not _is_strong_probable_prime(x, 2):
-        return Verdict.COMPOSITE
+    for base in (3, 2):
+        if not _is_strong_probable_prime(x, base):
+            return Verdict.COMPOSITE
     if not _is_strong_lucas_probable_prime(x):
         return Verdict.COMPOSITE
     rng = random.Random(_EXTRA_ROUNDS_SEED)
@@ -189,8 +194,19 @@ def is_probable_prime(x: int) -> Verdict:
     return Verdict.PROBABLE_PRIME
 
 
-def _prime_like(x: int) -> bool:
-    return is_probable_prime(x) is not Verdict.COMPOSITE
+def _prime_like(x: int, verdicts: dict[int, bool] | None = None) -> bool:
+    """True unless x is proven composite (a probable prime counts).
+
+    When the caller passes verdicts, the answer for x >= 2^64 is looked up
+    there and recorded after a miss, so one call tests each big value
+    once.  The caller owns the dict and drops it when it returns.
+    """
+    if verdicts is None or x < _TWO_64:
+        return is_probable_prime(x) is not Verdict.COMPOSITE
+    verdict = verdicts.get(x)
+    if verdict is None:
+        verdict = verdicts[x] = is_probable_prime(x) is not Verdict.COMPOSITE
+    return verdict
 
 
 def lucas_lehmer(p: int) -> bool:

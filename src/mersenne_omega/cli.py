@@ -81,7 +81,6 @@ def _cmd_factor(args) -> int:
     cache, path = _open_cache(args)
     stats = FactorStats()
     f = factor_mersenne(args.n, _budget(args), cache, stats)
-    _save_cache(cache, path)
     for p, e in f.factors:
         print(f"{p}^{e}")
     if not f.complete:
@@ -89,6 +88,7 @@ def _cmd_factor(args) -> int:
     print(f"status: {f.status}", file=sys.stderr)
     if args.stats:
         _print_stats(stats)
+    _save_cache(cache, path)
     return EXIT_OK if f.complete else EXIT_PARTIAL
 
 
@@ -117,14 +117,14 @@ def _cmd_omega(args) -> int:
 def _cmd_primitive(args) -> int:
     cache, path = _open_cache(args)
     f = factor_mersenne(args.n, _budget(args), cache)
-    _save_cache(cache, path)
-    if not f.complete:
+    if f.complete:
+        report = primitive_prime_divisors(args.n, f)
+        print("primitive_primes:", *report.primitive_primes)
+        print(f"primitive_part: {report.primitive_part}")
+    else:
         print(f"factorization of 2^{args.n} - 1 incomplete", file=sys.stderr)
-        return EXIT_PARTIAL
-    report = primitive_prime_divisors(args.n, f)
-    print("primitive_primes:", *report.primitive_primes)
-    print(f"primitive_part: {report.primitive_part}")
-    return EXIT_OK
+    _save_cache(cache, path)
+    return EXIT_OK if f.complete else EXIT_PARTIAL
 
 
 def _classification_payload(n: int, f) -> dict:
@@ -149,12 +149,12 @@ def _classification_payload(n: int, f) -> dict:
 def _cmd_classify(args) -> int:
     cache, path = _open_cache(args)
     f = factor_mersenne(args.n, _budget(args), cache)
-    _save_cache(cache, path)
-    if not f.complete:
+    if f.complete:
+        _write_text(report_json(_classification_payload(args.n, f)), args.out)
+    else:
         print(f"factorization of 2^{args.n} - 1 incomplete", file=sys.stderr)
-        return EXIT_PARTIAL
-    _write_text(report_json(_classification_payload(args.n, f)), args.out)
-    return EXIT_OK
+    _save_cache(cache, path)
+    return EXIT_OK if f.complete else EXIT_PARTIAL
 
 
 def _suite_line(s) -> str:
@@ -173,7 +173,6 @@ def _cmd_verify(args) -> int:
     budget = _budget(args)
     identity = verify_identities(args.max, budget, cache)
     structure = verify_structures_in_range(args.max, budget, cache)
-    _save_cache(cache, path)
     suites = list(identity.suites) + [structure]
     for s in suites:
         print(_suite_line(s))
@@ -192,6 +191,7 @@ def _cmd_verify(args) -> int:
             ],
         }
         Path(args.out).write_text(report_json(payload), encoding="utf-8")
+    _save_cache(cache, path)
     if any(s.failed for s in suites):
         return EXIT_VERIFY
     if any(s.inconclusive for s in suites):
@@ -208,7 +208,6 @@ def _cmd_census(args) -> int:
     )
     cache, path = _open_cache(args)
     records, summary = run_census(config, cache)
-    _save_cache(cache, path)
     _write_text(census_csv(records), args.out)
     summary_stream = sys.stdout if args.out else sys.stderr
     w = summary.uncorrected_bound_witnesses
@@ -226,6 +225,7 @@ def _cmd_census(args) -> int:
     )
     print("uncorrected_bound_witnesses:", *w, file=summary_stream)
     print(f"note: {summary.asymptotic_note}", file=summary_stream)
+    _save_cache(cache, path)
     if summary.deterministic_violations:
         return EXIT_VERIFY
     if summary.incomplete_count:

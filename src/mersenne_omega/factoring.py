@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .arith import _prime_like, _primes_up_to, is_perfect_power, mersenne
+from .arith import _prime_like, _primes_up_to, is_perfect_power, lucas_lehmer, mersenne
 
 if TYPE_CHECKING:
     from .storage import FactorCache
@@ -212,12 +212,15 @@ def pollard_rho_brent(
     return _rho_brent(x, seed, stats, stats.rho_iterations + budget.rho_iterations_max)
 
 
-def _factor_with_rho(value: int, stats: FactorStats, ceiling: int, counts: Counter) -> int:
+def _factor_with_rho(
+    value: int, stats: FactorStats, ceiling: int, counts: Counter, verdicts: dict[int, bool]
+) -> int:
     """Fully factor value (1, a prime, a perfect power or a composite)
     into counts.
 
     Returns the product of whatever composite pieces remain when
-    stats.rho_iterations reaches ceiling (1 when none).
+    stats.rho_iterations reaches ceiling (1 when none).  verdicts is the
+    calling entry point's primality memo (see _prime_like).
     """
     leftover = 1
     stack = [(value, 1)]
@@ -225,7 +228,7 @@ def _factor_with_rho(value: int, stats: FactorStats, ceiling: int, counts: Count
         v, multiplicity = stack.pop()
         if v == 1:
             continue
-        if _prime_like(v):
+        if _prime_like(v, verdicts):
             counts[v] += multiplicity
             continue
         power = is_perfect_power(v)
@@ -259,7 +262,8 @@ def factor_natural(
     stats = stats or FactorStats()
     if x == 1:
         return Factorization(1, ())
-    if _prime_like(x):
+    verdicts: dict[int, bool] = {}
+    if _prime_like(x, verdicts):
         return Factorization(x, ((x, 1),))
     counts: Counter = Counter()
     remaining = x
@@ -276,12 +280,12 @@ def factor_natural(
             counts[p] += e
             if remaining == 1:
                 break
-            if _prime_like(remaining):
+            if _prime_like(remaining, verdicts):
                 counts[remaining] += 1
                 break
     else:
         ceiling = stats.rho_iterations + budget.rho_iterations_max
-        cofactor = _factor_with_rho(remaining, stats, ceiling, counts)
+        cofactor = _factor_with_rho(remaining, stats, ceiling, counts, verdicts)
     return Factorization(x, tuple(sorted(counts.items())), cofactor)
 
 
@@ -339,6 +343,12 @@ def factor_mersenne(
     Results are merged across parts, sorted, and written back to the
     cache.  On budget exhaustion the composite remainder is reported in
     cofactor and status is partial.
+
+    For prime n > 2 the only part is 2^n - 1 itself; while nothing has
+    been stripped from it, lucas_lehmer(n) decides its primality, a proof
+    where is_probable_prime only says "probable".  Every other primality
+    question goes to _prime_like, with one memo per call, so no value of
+    2^64 or more reaches is_probable_prime twice.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -358,7 +368,11 @@ def factor_mersenne(
     counts: Counter = Counter()
     leftover = 1
     ceiling = stats.rho_iterations + budget.rho_iterations_max
-    for part in cyclotomic_split(n):
+    verdicts: dict[int, bool] = {}
+    parts = cyclotomic_split(n)
+    # One part exactly when n is prime (the parts are the divisors d >= 2).
+    mersenne_exponent = n > 2 and len(parts) == 1
+    for part in parts:
         v = part.value
         if part.intrinsic > 1:
             while v % part.intrinsic == 0:
@@ -370,7 +384,11 @@ def factor_mersenne(
                 counts[p] += 1
         if v == 1:
             continue
-        if _prime_like(v):
+        if mersenne_exponent and v == part.value:
+            prime = lucas_lehmer(n)
+        else:
+            prime = _prime_like(v, verdicts)
+        if prime:
             counts[v] += 1
             continue
         for q in trial_divide_congruence(
@@ -379,7 +397,7 @@ def factor_mersenne(
             while v % q == 0:
                 v //= q
                 counts[q] += 1
-        leftover *= _factor_with_rho(v, stats, ceiling, counts)
+        leftover *= _factor_with_rho(v, stats, ceiling, counts, verdicts)
     result = Factorization(mersenne(n), tuple(sorted(counts.items())), leftover)
     if cache is not None:
         result = cache.add_primes(n, result.primes())

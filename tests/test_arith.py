@@ -13,7 +13,9 @@ from mersenne_omega import (
     mod_mersenne,
     multiplicative_order_of_two,
 )
-from mersenne_omega.factoring import factor_natural
+from mersenne_omega.arith import _is_strong_probable_prime
+from mersenne_omega.cyclotomic import cyclotomic_split
+from mersenne_omega.factoring import factor_natural, trial_divide_congruence
 
 
 def test_mersenne_values():
@@ -109,11 +111,70 @@ def test_lucas_lehmer_rejects_bad_exponent():
 
 
 def test_lucas_lehmer_agrees_with_probable_prime():
-    for p in range(3, 128, 2):
+    for p in range(3, 1301, 2):
         if is_probable_prime(p) is Verdict.COMPOSITE:
             continue
         expected = is_probable_prime(mersenne(p)) is not Verdict.COMPOSITE
         assert lucas_lehmer(p) == expected, p
+
+
+@pytest.mark.parametrize("p", [67, 101, 103, 109])
+def test_base_two_is_blind_to_composite_mersenne_numbers(p):
+    # 2^p = 1 (mod M_p) and p | 2^(p-1) - 1 = (M_p - 1)/2, so the strong
+    # base-2 test passes every M_p; base 3 is what rejects a composite one.
+    assert _is_strong_probable_prime(mersenne(p), 2)
+    assert not _is_strong_probable_prime(mersenne(p), 3)
+    assert is_probable_prime(mersenne(p)) is Verdict.COMPOSITE
+
+
+def _cyclotomic_cofactors(max_d):
+    """Phi_d(2) without its intrinsic prime, then what is left after each
+    prime the congruence scan finds below 10^5, for d <= max_d."""
+    for d in range(2, max_d + 1):
+        part = cyclotomic_split(d)[-1]
+        v = part.value
+        while part.intrinsic > 1 and v % part.intrinsic == 0:
+            v //= part.intrinsic
+        yield v
+        for q in trial_divide_congruence(v, d, 10**5):
+            while v % q == 0:
+                v //= q
+            yield v
+
+
+def _products_of_two_primes(sympy, rng, count):
+    """p * q for primes p, q above 2^32, half of them with q = 2p - 1."""
+    for i in range(count):
+        p = sympy.nextprime(rng.randrange(1 << 32, 1 << 48))
+        if i % 2:
+            while not sympy.isprime(2 * p - 1):
+                p = sympy.nextprime(p)
+            yield p * (2 * p - 1)
+        else:
+            yield p * sympy.nextprime(rng.randrange(1 << 32, 1 << 64))
+
+
+def _random_odd_values(sympy, rng):
+    """Odd values of 65..1024 bits, and the next prime above some of them."""
+    for bits in range(65, 1025, 9):
+        x = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        yield x
+        if bits <= 512:
+            yield sympy.nextprime(x)
+
+
+def test_primality_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(0x3B5E)
+    values = [
+        *_cyclotomic_cofactors(300),
+        *_products_of_two_primes(sympy, rng, 40),
+        *_random_odd_values(sympy, rng),
+    ]
+    for x in values:
+        assert (is_probable_prime(x) is not Verdict.COMPOSITE) == sympy.isprime(x), x
+    big = [x for x in values if x >= 1 << 64]
+    assert len(big) > 300 and sum(map(sympy.isprime, big)) > 50
 
 
 def test_multiplicative_order_examples():

@@ -247,6 +247,27 @@ def test_failed_cache_save_names_the_cache_path(capsys, tmp_path):
     assert "c.json" in err and ".tmp" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factor", "5"),
+        ("factor", "137", "--budget-rho", "1000"),
+        ("omega", "--range", "2", "6"),
+        ("primitive", "12"),
+        ("classify", "9"),
+        ("verify", "--max", "12"),
+        ("census", "--min", "2", "--max", "12"),
+    ],
+)
+def test_failed_cache_save_keeps_the_result(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.delenv("MERSENNE_OMEGA_CACHE", raising=False)
+    _, expected, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--cache", str(tmp_path / "missing" / "c.json"))
+    assert code == 4
+    assert "i/o error:" in err
+    assert out and out == expected
+
+
 def _stat(err, name):
     for line in err.splitlines():
         if line.startswith(f"{name}: "):

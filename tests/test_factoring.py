@@ -16,7 +16,7 @@ from mersenne_omega import (
     pollard_rho_brent,
     trial_divide_congruence,
 )
-from mersenne_omega import arith
+from mersenne_omega import arith, factoring
 from mersenne_omega.factoring import _sieve_primes
 
 
@@ -199,6 +199,53 @@ def test_factor_mersenne_tests_no_big_value_three_times(monkeypatch, n):
     factor_mersenne(n, Budget(rho_iterations_max=1000))
     big = {x: k for x, k in tested.items() if x >= 1 << 64}
     assert big and max(big.values()) <= 2
+
+
+def _count_calls(monkeypatch, module, name) -> Counter:
+    """Replace module.name with a wrapper that counts its arguments."""
+    seen = Counter()
+    original = getattr(module, name)
+
+    def counting(x):
+        seen[x] += 1
+        return original(x)
+
+    monkeypatch.setattr(module, name, counting)
+    return seen
+
+
+@pytest.mark.parametrize("p", [89, 107, 127, 521, 607])
+def test_mersenne_prime_is_decided_by_lucas_lehmer(monkeypatch, p):
+    lucas_lehmer = _count_calls(monkeypatch, factoring, "lucas_lehmer")
+    tested = _count_calls(monkeypatch, arith, "is_probable_prime")
+    f = factor_mersenne(p)
+    assert f.factors == ((mersenne(p), 1),) and f.complete
+    assert lucas_lehmer == {p: 1}
+    assert mersenne(p) not in tested
+
+
+@pytest.mark.parametrize(
+    "p, factors, cofactor",
+    [
+        (67, ((193707721, 1), (761838257287, 1)), 1),
+        # Both are products of two primes too large for this rho budget.
+        (101, (), mersenne(101)),
+        (1061, (), mersenne(1061)),
+    ],
+    ids=["67", "101", "1061"],
+)
+def test_composite_mersenne_number_goes_on_after_lucas_lehmer(monkeypatch, p, factors, cofactor):
+    lucas_lehmer = _count_calls(monkeypatch, factoring, "lucas_lehmer")
+    f = factor_mersenne(p, Budget(rho_iterations_max=1 << 14))
+    assert (f.factors, f.cofactor) == (factors, cofactor)
+    assert lucas_lehmer == {p: 1}
+
+
+@pytest.mark.parametrize("n", [101, 1050, 1279, 2310])
+def test_factor_mersenne_tests_each_big_value_once(monkeypatch, n):
+    tested = _count_calls(monkeypatch, arith, "is_probable_prime")
+    factor_mersenne(n, Budget(rho_iterations_max=1000))
+    assert all(k == 1 for x, k in tested.items() if x >= 1 << 64)
 
 
 def test_factor_mersenne_examples():
