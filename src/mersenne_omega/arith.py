@@ -64,12 +64,6 @@ def mod_mersenne(x: int, n: int) -> int:
 _BASES_BELOW_2_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _TWO_64 = 1 << 64
 
-_SMALL_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-    67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
-    139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
-)
-
 # Seed and round count for the extra witness rounds above 2^64.  Fixed so
 # that verdicts are reproducible run to run.
 _EXTRA_ROUNDS = 16
@@ -237,6 +231,10 @@ def _primes_up_to(limit: int) -> tuple[int, ...]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
     return tuple(i for i in range(2, limit + 1) if sieve[i])
+
+
+# Trial divisors that is_probable_prime tries before any strong test.
+_SMALL_PRIMES = _primes_up_to(199)
 
 
 def integer_root(x: int, k: int) -> int:

@@ -4,12 +4,18 @@ Human-readable results go to stdout, diagnostics and statistics to
 stderr, so the output is pipeline-friendly.  Exit codes: 0 success,
 1 usage error, 2 verification failure, 3 partial/incomplete results,
 4 I/O failure.
+
+main is the one command runner: it takes the cache path from --cache or,
+failing that, $MERSENNE_OMEGA_CACHE, loads the cache before the command
+runs (so a bad cache file is reported before a usage error), lets the
+command compute and print, then saves the cache once.  A failed save
+exits 4 but leaves the result already printed on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -44,16 +50,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _open_cache(args) -> tuple[FactorCache, str | None]:
-    path = args.cache or os.environ.get(CACHE_ENV_VAR) or None
-    if path and Path(path).exists():
-        return load_cache(path), path
-    return FactorCache(), path
-
-
-def _save_cache(cache: FactorCache, path: str | None) -> None:
-    if path is not None:
-        save_cache(cache, path)
+def _exit_code(complete: bool, failed: bool = False) -> int:
+    if failed:
+        return EXIT_VERIFY
+    return EXIT_OK if complete else EXIT_PARTIAL
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -63,36 +63,22 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _budget(args) -> Budget | None:
-    rho = getattr(args, "budget_rho", None)
-    if rho is None:
-        return None
-    return Budget(rho_iterations_max=rho)
-
-
-def _print_stats(stats: FactorStats) -> None:
-    print(f"rho_iterations: {stats.rho_iterations}", file=sys.stderr)
-    print(f"rho_calls: {stats.rho_calls}", file=sys.stderr)
-    print(f"trial_candidates: {stats.trial_candidates}", file=sys.stderr)
-    print(f"cache_hits: {stats.cache_hits}", file=sys.stderr)
-
-
-def _cmd_factor(args) -> int:
-    cache, path = _open_cache(args)
+def _cmd_factor(args, cache: FactorCache) -> int:
+    budget = None if args.budget_rho is None else Budget(rho_iterations_max=args.budget_rho)
     stats = FactorStats()
-    f = factor_mersenne(args.n, _budget(args), cache, stats)
+    f = factor_mersenne(args.n, budget, cache, stats)
     for p, e in f.factors:
         print(f"{p}^{e}")
     if not f.complete:
         print(f"cofactor {f.cofactor}")
     print(f"status: {f.status}", file=sys.stderr)
     if args.stats:
-        _print_stats(stats)
-    _save_cache(cache, path)
-    return EXIT_OK if f.complete else EXIT_PARTIAL
+        for field in dataclasses.fields(stats):
+            print(f"{field.name}: {getattr(stats, field.name)}", file=sys.stderr)
+    return _exit_code(f.complete)
 
 
-def _cmd_omega(args) -> int:
+def _cmd_omega(args, cache: FactorCache) -> int:
     if args.range is None and args.n is None:
         raise ValueError("give an index or --range A B")
     if args.range is not None and args.n is not None:
@@ -100,31 +86,26 @@ def _cmd_omega(args) -> int:
     lo, hi = (args.n, args.n) if args.n is not None else args.range
     if lo > hi:
         raise ValueError("range must be ascending")
-    cache, path = _open_cache(args)
-    budget = _budget(args)
     all_complete = True
     for n in range(lo, hi + 1):
-        f = factor_mersenne(n, budget, cache)
+        f = factor_mersenne(n, cache=cache)
         if f.complete:
             print(f"{n} {f.omega}")
         else:
             all_complete = False
             print(f"{n} ≥{f.omega} (partial)")
-    _save_cache(cache, path)
-    return EXIT_OK if all_complete else EXIT_PARTIAL
+    return _exit_code(all_complete)
 
 
-def _cmd_primitive(args) -> int:
-    cache, path = _open_cache(args)
-    f = factor_mersenne(args.n, _budget(args), cache)
+def _cmd_primitive(args, cache: FactorCache) -> int:
+    f = factor_mersenne(args.n, cache=cache)
     if f.complete:
         report = primitive_prime_divisors(args.n, f)
         print("primitive_primes:", *report.primitive_primes)
         print(f"primitive_part: {report.primitive_part}")
     else:
         print(f"factorization of 2^{args.n} - 1 incomplete", file=sys.stderr)
-    _save_cache(cache, path)
-    return EXIT_OK if f.complete else EXIT_PARTIAL
+    return _exit_code(f.complete)
 
 
 def _classification_payload(n: int, f) -> dict:
@@ -146,15 +127,13 @@ def _classification_payload(n: int, f) -> dict:
     }
 
 
-def _cmd_classify(args) -> int:
-    cache, path = _open_cache(args)
-    f = factor_mersenne(args.n, _budget(args), cache)
+def _cmd_classify(args, cache: FactorCache) -> int:
+    f = factor_mersenne(args.n, cache=cache)
     if f.complete:
         _write_text(report_json(_classification_payload(args.n, f)), args.out)
     else:
         print(f"factorization of 2^{args.n} - 1 incomplete", file=sys.stderr)
-    _save_cache(cache, path)
-    return EXIT_OK if f.complete else EXIT_PARTIAL
+    return _exit_code(f.complete)
 
 
 def _suite_line(s) -> str:
@@ -168,11 +147,9 @@ def _suite_line(s) -> str:
     return line
 
 
-def _cmd_verify(args) -> int:
-    cache, path = _open_cache(args)
-    budget = _budget(args)
-    identity = verify_identities(args.max, budget, cache)
-    structure = verify_structures_in_range(args.max, budget, cache)
+def _cmd_verify(args, cache: FactorCache) -> int:
+    identity = verify_identities(args.max, cache=cache)
+    structure = verify_structures_in_range(args.max, cache=cache)
     suites = list(identity.suites) + [structure]
     for s in suites:
         print(_suite_line(s))
@@ -191,22 +168,13 @@ def _cmd_verify(args) -> int:
             ],
         }
         Path(args.out).write_text(report_json(payload), encoding="utf-8")
-    _save_cache(cache, path)
-    if any(s.failed for s in suites):
-        return EXIT_VERIFY
-    if any(s.inconclusive for s in suites):
-        return EXIT_PARTIAL
-    return EXIT_OK
-
-
-def _cmd_census(args) -> int:
-    config = CensusConfig(
-        n_min=args.min,
-        n_max=args.max,
-        epsilon=args.epsilon,
-        budget=_budget(args),
+    return _exit_code(
+        not any(s.inconclusive for s in suites), failed=any(s.failed for s in suites)
     )
-    cache, path = _open_cache(args)
+
+
+def _cmd_census(args, cache: FactorCache) -> int:
+    config = CensusConfig(n_min=args.min, n_max=args.max, epsilon=args.epsilon)
     records, summary = run_census(config, cache)
     _write_text(census_csv(records), args.out)
     summary_stream = sys.stdout if args.out else sys.stderr
@@ -225,20 +193,15 @@ def _cmd_census(args) -> int:
     )
     print("uncorrected_bound_witnesses:", *w, file=summary_stream)
     print(f"note: {summary.asymptotic_note}", file=summary_stream)
-    _save_cache(cache, path)
-    if summary.deterministic_violations:
-        return EXIT_VERIFY
-    if summary.incomplete_count:
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _exit_code(
+        not summary.incomplete_count, failed=bool(summary.deterministic_violations)
+    )
 
 
-def _cmd_import(args) -> int:
-    cache, path = _open_cache(args)
-    if path is None:
+def _cmd_import(args, cache: FactorCache) -> int:
+    if not args.cache:
         raise ValueError(f"--cache (or {CACHE_ENV_VAR}) is required for import")
     summary = import_known_factors(args.file, cache)
-    save_cache(cache, path)
     print(f"accepted: {summary.accepted}")
     print(f"rejected: {summary.rejected_count}")
     for line_no, reason in summary.rejected:
@@ -251,7 +214,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--cache", help=f"cache file path (default: ${CACHE_ENV_VAR})")
+        p.add_argument(
+            "--cache",
+            default=os.environ.get(CACHE_ENV_VAR) or None,
+            help=f"cache file path (default: ${CACHE_ENV_VAR})",
+        )
 
     p = sub.add_parser("factor", help="factor 2^n - 1")
     p.add_argument("n", type=int)
@@ -300,10 +267,14 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    path = args.cache
     try:
-        return args.func(args)
+        cache = load_cache(path) if path and Path(path).exists() else FactorCache()
+        code = args.func(args, cache)
+        if path:
+            save_cache(cache, path)
+        return code
     except CacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_IO

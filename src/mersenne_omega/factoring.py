@@ -347,8 +347,9 @@ def factor_mersenne(
     For prime n > 2 the only part is 2^n - 1 itself; while nothing has
     been stripped from it, lucas_lehmer(n) decides its primality, a proof
     where is_probable_prime only says "probable".  Every other primality
-    question goes to _prime_like, with one memo per call, so no value of
-    2^64 or more reaches is_probable_prime twice.
+    question goes to _prime_like, with one memo per call that also holds
+    the Lucas-Lehmer verdict, so no value of 2^64 or more reaches
+    is_probable_prime twice and a composite 2^n - 1 never reaches it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -385,7 +386,7 @@ def factor_mersenne(
         if v == 1:
             continue
         if mersenne_exponent and v == part.value:
-            prime = lucas_lehmer(n)
+            prime = verdicts[v] = lucas_lehmer(n)
         else:
             prime = _prime_like(v, verdicts)
         if prime:

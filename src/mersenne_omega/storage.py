@@ -12,9 +12,10 @@ Primes and cofactors are decimal strings so arbitrary precision survives
 any JSON parser; entries are sorted by n and keys have a fixed order, so
 serialization is canonical.  Every entry is re-verified on load (dividing
 2^n - 1 by each listed prime as often as its exponent says must leave the
-cofactor, and the listed primes must be prime) — the file is never
-trusted.  Saving renames a finished temporary file over the old one, so
-a crash mid-write leaves the old file intact.
+cofactor, and the listed primes must be prime; each distinct prime is
+tested once per load) — the file is never trusted.  Saving renames a
+finished temporary file over the old one, so a crash mid-write leaves
+the old file intact.
 
 Known-factor import format: text lines "n factor" in decimal, '#' lines
 are comments, blank lines are ignored.
@@ -108,7 +109,7 @@ class FactorCache:
             return entry
 
 
-def _verify_entry(n: int, factors, cofactor: int, status: str) -> Factorization:
+def _verify_entry(n: int, factors, cofactor: int, status: str, checked: set[int]) -> Factorization:
     entry = Factorization(mersenne(n), factors, cofactor)
     # Divide rather than multiply out: a forged exponent is refused after
     # at most n divisions instead of building p^e.
@@ -123,8 +124,10 @@ def _verify_entry(n: int, factors, cofactor: int, status: str) -> Factorization:
     if entry.status != status:
         raise ValueError(f"status {status!r} disagrees with cofactor")
     for p, _ in factors:
-        if not _prime_like(p):
-            raise ValueError(f"listed factor {p} is composite")
+        if p not in checked:
+            if not _prime_like(p):
+                raise ValueError(f"listed factor {p} is composite")
+            checked.add(p)
     return entry
 
 
@@ -144,12 +147,14 @@ def load_cache(path) -> FactorCache:
         raise CacheError(f"{path}: entries must be a list of objects")
     cache = FactorCache()
     problems = []
+    # Primes already checked in this file; 3 is listed under every even n.
+    checked: set[int] = set()
     for raw in entries:
         try:
             n = int(raw["n"])
             factors = tuple((int(p), int(e)) for p, e in raw["factors"])
             cofactor = int(raw.get("cofactor", "1"))
-            entry = _verify_entry(n, factors, cofactor, raw["status"])
+            entry = _verify_entry(n, factors, cofactor, raw["status"], checked)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             problems.append(f"n={raw.get('n', '?')}: {exc}")
             continue

@@ -34,6 +34,17 @@ def test_arith_imports_nothing_from_the_package():
     assert relative == []
 
 
+def test_cli_loads_and_saves_the_cache_only_in_main():
+    tree = ast.parse(Path(mersenne_omega.__file__).with_name("cli.py").read_text())
+    sites = {"load_cache": [], "save_cache": []}
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in sites:
+                    sites[node.func.id].append(function.name)
+    assert sites == {"load_cache": ["main"], "save_cache": ["main"]}
+
+
 def test_trial_sieve_keeps_its_name():
     # perfbench/spans.py traces the cached trial-division sieve under this name.
     assert factoring._sieve_primes(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from mersenne_omega import FactorCache, cli, save_cache
 from mersenne_omega.cli import main
 
 
@@ -266,6 +267,73 @@ def test_failed_cache_save_keeps_the_result(capsys, tmp_path, monkeypatch, argv)
     assert code == 4
     assert "i/o error:" in err
     assert out and out == expected
+
+
+KNOWN_TABLE = "# sample\n11 23\n11 10\n49 4432676798593\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factor", "5"),
+        ("omega", "--range", "2", "6"),
+        ("primitive", "12"),
+        ("classify", "9"),
+        ("verify", "--max", "6"),
+        ("census", "--min", "2", "--max", "6"),
+        ("import", "known.txt"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_runner_loads_once_then_saves_once_after_printing(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "known.txt").write_text(KNOWN_TABLE)
+    path = tmp_path / "c.json"
+    save_cache(FactorCache(), path)
+    events = []
+    load, save = cli.load_cache, cli.save_cache
+
+    def counting_load(p):
+        events.append(("load", capsys.readouterr().out))
+        return load(p)
+
+    def counting_save(cache, p):
+        events.append(("save", capsys.readouterr().out))
+        save(cache, p)
+
+    monkeypatch.setattr(cli, "load_cache", counting_load)
+    monkeypatch.setattr(cli, "save_cache", counting_save)
+    code = main([*argv, "--cache", str(path)])
+    assert code == 0
+    assert [name for name, _ in events] == ["load", "save"]
+    # Nothing is printed before the load, and everything before the save.
+    assert events[0][1] == ""
+    assert events[1][1] != ""
+    assert capsys.readouterr().out == ""
+
+
+def test_import_prints_its_report_when_the_save_fails(capsys, tmp_path):
+    table = tmp_path / "known.txt"
+    table.write_text(KNOWN_TABLE)
+    code, out, err = run(capsys, "import", str(table), "--cache", str(tmp_path / "missing" / "c.json"))
+    assert code == 4
+    assert out == "accepted: 2\nrejected: 1\n"
+    assert "line 3" in err
+    assert "i/o error:" in err and "c.json" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("omega",), ("census", "--min", "2", "--max", "10", "--epsilon", "2")],
+    ids=["omega", "census"],
+)
+def test_cache_errors_come_before_usage_errors(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    code, out, err = run(capsys, *argv, "--cache", str(bad))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("cache error:")
 
 
 def _stat(err, name):

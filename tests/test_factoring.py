@@ -186,7 +186,9 @@ def test_reused_stats_give_each_call_its_own_budget():
     assert s.rho_iterations == 2000
 
 
-@pytest.mark.parametrize("n", [101, 1050])
+# Prime n such as 101 send no value >= 2^64 to is_probable_prime at all;
+# test_composite_mersenne_number_goes_on_after_lucas_lehmer covers them.
+@pytest.mark.parametrize("n", [1050])
 def test_factor_mersenne_tests_no_big_value_three_times(monkeypatch, n):
     tested = Counter()
     original = arith.is_probable_prime
@@ -236,9 +238,12 @@ def test_mersenne_prime_is_decided_by_lucas_lehmer(monkeypatch, p):
 )
 def test_composite_mersenne_number_goes_on_after_lucas_lehmer(monkeypatch, p, factors, cofactor):
     lucas_lehmer = _count_calls(monkeypatch, factoring, "lucas_lehmer")
+    tested = _count_calls(monkeypatch, arith, "is_probable_prime")
     f = factor_mersenne(p, Budget(rho_iterations_max=1 << 14))
     assert (f.factors, f.cofactor) == (factors, cofactor)
     assert lucas_lehmer == {p: 1}
+    # The Lucas-Lehmer verdict is in the memo, so rho does not test 2^p - 1 again.
+    assert mersenne(p) not in tested
 
 
 @pytest.mark.parametrize("n", [101, 1050, 1279, 2310])

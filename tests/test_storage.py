@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from mersenne_omega import storage
 from mersenne_omega import (
     CacheError,
     FactorCache,
@@ -72,12 +73,30 @@ def test_load_rejects_composite_listed_prime(tmp_path):
         "version": 1,
         "entries": [
             {"n": 11, "factors": [["2047", 1]], "status": "complete"},
+            {"n": 22, "factors": [["3", 1], ["2047", 1]], "cofactor": "683", "status": "partial"},
         ],
     }
     path.write_text(json.dumps(doc))
     with pytest.raises(CacheError) as exc:
         load_cache(path)
-    assert "2047" in str(exc.value)
+    # A composite is refused under every index that lists it.
+    assert "n=11: listed factor 2047 is composite" in str(exc.value)
+    assert "n=22: listed factor 2047 is composite" in str(exc.value)
+
+
+def test_load_tests_each_distinct_prime_once(tmp_path, monkeypatch):
+    cache = FactorCache()
+    for n in range(2, 41):
+        factor_mersenne(n, cache=cache)
+    slots = [p for n in cache.indices() for p in cache.get(n).primes()]
+    path = tmp_path / "cache.json"
+    save_cache(cache, path)
+    tested = []
+    original = storage._prime_like
+    monkeypatch.setattr(storage, "_prime_like", lambda x: tested.append(x) or original(x))
+    assert load_cache(path) == cache
+    assert sorted(tested) == sorted(set(slots))
+    assert len(slots) > len(tested)
 
 
 def test_load_rejects_wrong_status(tmp_path):
