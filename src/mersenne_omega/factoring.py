@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .arith import _prime_like, _primes_up_to, is_perfect_power, lucas_lehmer, mersenne
+from .arith import _prime_like, _primes_up_to, _ring, is_perfect_power, lucas_lehmer, mersenne
 
 if TYPE_CHECKING:
     from .storage import FactorCache
@@ -149,16 +149,25 @@ def _trial_limit(x: int, bound: int) -> int:
     return min(bound, 1 << (bits + (bits & 1)))
 
 
-def _rho_brent(x: int, c: int, stats: FactorStats, ceiling: int) -> int | None:
+def _rho_brent(
+    x: int, c: int, stats: FactorStats, ceiling: int, ring: int | None = None
+) -> int | None:
     """One Brent-cycle rho attempt on odd composite x with y <- y^2 + c.
 
     Returns a nontrivial divisor, or None when stats.rho_iterations would
     pass ceiling or the cycle closes without exposing a factor.  gcds are
     batched every 128 steps.  Fully deterministic in (x, c, remaining
     budget).
+
+    With ring = d (x divides 2^d - 1; see arith._ring), y and q live in
+    Z/(2^d - 1): each product is reduced by two folds
+    t <- (t & m) + (t >> d) instead of % x.  Both stay congruent modulo x,
+    so every gcd, and hence the divisor and the iteration count, is the
+    same as without the ring.
     """
     stats.rho_calls += 1
     batch = 128
+    m = (1 << ring) - 1 if ring is not None else 0
     y, r, q = 2, 1, 1
     g, xs, ys = 1, 0, 0
     while g == 1:
@@ -166,8 +175,14 @@ def _rho_brent(x: int, c: int, stats: FactorStats, ceiling: int) -> int | None:
         if stats.rho_iterations + r > ceiling:
             return None
         stats.rho_iterations += r
-        for _ in range(r):
-            y = (y * y + c) % x
+        if ring is None:
+            for _ in range(r):
+                y = (y * y + c) % x
+        else:
+            for _ in range(r):
+                y = y * y + c
+                y = (y & m) + (y >> ring)
+                y = (y & m) + (y >> ring)
         k = 0
         while k < r and g == 1:
             ys = y
@@ -175,9 +190,18 @@ def _rho_brent(x: int, c: int, stats: FactorStats, ceiling: int) -> int | None:
             if stats.rho_iterations + steps > ceiling:
                 return None
             stats.rho_iterations += steps
-            for _ in range(steps):
-                y = (y * y + c) % x
-                q = q * (xs - y) % x
+            if ring is None:
+                for _ in range(steps):
+                    y = (y * y + c) % x
+                    q = q * (xs - y) % x
+            else:
+                for _ in range(steps):
+                    y = y * y + c
+                    y = (y & m) + (y >> ring)
+                    y = (y & m) + (y >> ring)
+                    q = q * (xs - y)
+                    q = (q & m) + (q >> ring)
+                    q = (q & m) + (q >> ring)
             g = math.gcd(q, x)
             k += steps
         r <<= 1
@@ -213,14 +237,21 @@ def pollard_rho_brent(
 
 
 def _factor_with_rho(
-    value: int, stats: FactorStats, ceiling: int, counts: Counter, verdicts: dict[int, bool]
+    value: int,
+    stats: FactorStats,
+    ceiling: int,
+    counts: Counter,
+    verdicts: dict[int, bool],
+    d: int | None = None,
 ) -> int:
     """Fully factor value (1, a prime, a perfect power or a composite)
     into counts.
 
     Returns the product of whatever composite pieces remain when
     stats.rho_iterations reaches ceiling (1 when none).  verdicts is the
-    calling entry point's primality memo (see _prime_like).
+    calling entry point's primality memo (see _prime_like).  When value
+    divides 2^d - 1, each piece that arith._ring admits is tested and
+    split in that ring.
     """
     leftover = 1
     stack = [(value, 1)]
@@ -228,7 +259,8 @@ def _factor_with_rho(
         v, multiplicity = stack.pop()
         if v == 1:
             continue
-        if _prime_like(v, verdicts):
+        ring = _ring(v, d)
+        if _prime_like(v, verdicts, ring):
             counts[v] += multiplicity
             continue
         power = is_perfect_power(v)
@@ -239,7 +271,7 @@ def _factor_with_rho(
         divisor = None
         seed = 1
         while divisor is None and stats.rho_iterations < ceiling:
-            divisor = _rho_brent(v, seed, stats, ceiling)
+            divisor = _rho_brent(v, seed, stats, ceiling, ring)
             seed += 1
         if divisor is None:
             leftover *= v**multiplicity
@@ -350,6 +382,10 @@ def factor_mersenne(
     question goes to _prime_like, with one memo per call that also holds
     the Lucas-Lehmer verdict, so no value of 2^64 or more reaches
     is_probable_prime twice and a composite 2^n - 1 never reaches it.
+    The composite leftover goes into that memo too, and the memo goes to
+    the cache, so the cache does not test the leftover again.  Each part's
+    d goes down to rho: values of a part with d >= 256 are tested and
+    split in the ring Z/(2^d - 1) (see arith._ring).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -388,7 +424,7 @@ def factor_mersenne(
         if mersenne_exponent and v == part.value:
             prime = verdicts[v] = lucas_lehmer(n)
         else:
-            prime = _prime_like(v, verdicts)
+            prime = _prime_like(v, verdicts, _ring(v, part.d))
         if prime:
             counts[v] += 1
             continue
@@ -398,8 +434,11 @@ def factor_mersenne(
             while v % q == 0:
                 v //= q
                 counts[q] += 1
-        leftover *= _factor_with_rho(v, stats, ceiling, counts, verdicts)
+        leftover *= _factor_with_rho(v, stats, ceiling, counts, verdicts, part.d)
+    if leftover > 1:
+        # A product of composite pieces: the cache need not test it again.
+        verdicts[leftover] = False
     result = Factorization(mersenne(n), tuple(sorted(counts.items())), leftover)
     if cache is not None:
-        result = cache.add_primes(n, result.primes())
+        result = cache.add_primes(n, result.primes(), verdicts)
     return result

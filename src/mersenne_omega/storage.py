@@ -80,11 +80,13 @@ class FactorCache:
     def indices(self) -> list[int]:
         return sorted(self._entries)
 
-    def add_primes(self, n: int, primes) -> Factorization:
+    def add_primes(self, n: int, primes, verdicts: dict[int, bool] | None = None) -> Factorization:
         """Fold newly learned prime divisors of 2^n - 1 into the entry.
 
         A prime whose cofactor turns out prime itself completes the
         entry.  Claimed primes that do not divide 2^n - 1 are dropped.
+        verdicts is the caller's primality memo (see arith._prime_like),
+        so a cofactor the caller already tested is not tested again.
         """
         with self._lock:
             target = mersenne(n)
@@ -100,7 +102,7 @@ class FactorCache:
                     e += 1
                 if e:
                     factors.append((p, e))
-            if cofactor > 1 and _prime_like(cofactor):
+            if cofactor > 1 and _prime_like(cofactor, verdicts):
                 factors.append((cofactor, 1))
                 factors.sort()
                 cofactor = 1

@@ -5,7 +5,7 @@ import inspect
 from pathlib import Path
 
 import mersenne_omega
-from mersenne_omega import factoring
+from mersenne_omega import arith, factoring
 
 SUBMODULES = ("arith", "factoring", "cyclotomic", "classify", "census", "storage")
 
@@ -61,3 +61,9 @@ def test_work_ledger_keeps_its_binding():
         "cache",
         "stats",
     ]
+
+
+def test_primality_test_keeps_one_parameter():
+    # perfbench/spans.py wraps it as traced(x); a second parameter would
+    # break the traced run.
+    assert list(inspect.signature(arith.is_probable_prime).parameters) == ["x"]

@@ -13,7 +13,7 @@ from mersenne_omega import (
     mod_mersenne,
     multiplicative_order_of_two,
 )
-from mersenne_omega.arith import _is_strong_probable_prime
+from mersenne_omega.arith import _is_strong_probable_prime, _prime_like, _primes_up_to, _ring, _ring_pow
 from mersenne_omega.cyclotomic import cyclotomic_split
 from mersenne_omega.factoring import factor_natural, trial_divide_congruence
 
@@ -127,19 +127,59 @@ def test_base_two_is_blind_to_composite_mersenne_numbers(p):
     assert is_probable_prime(mersenne(p)) is Verdict.COMPOSITE
 
 
-def _cyclotomic_cofactors(max_d):
-    """Phi_d(2) without its intrinsic prime, then what is left after each
-    prime the congruence scan finds below 10^5, for d <= max_d."""
-    for d in range(2, max_d + 1):
+def _cyclotomic_cofactors(max_d, min_d=2):
+    """(d, v) for v = Phi_d(2) without its intrinsic prime, then for what
+    is left after each prime the congruence scan finds below 10^5, for
+    min_d <= d <= max_d."""
+    for d in range(min_d, max_d + 1):
         part = cyclotomic_split(d)[-1]
         v = part.value
         while part.intrinsic > 1 and v % part.intrinsic == 0:
             v //= part.intrinsic
-        yield v
+        yield d, v
         for q in trial_divide_congruence(v, d, 10**5):
             while v % q == 0:
                 v //= q
-            yield v
+            yield d, v
+
+
+def _ring_pow_cases(rng):
+    for p in (3, 5, 61, 256, 257, 521, 1279):
+        m = mersenne(p)
+        for b in (0, 1, 3, m - 1, m, m + 5, rng.getrandbits(2 * p)):
+            for e in (0, 1, 2, m - 1, rng.getrandbits(p)):
+                yield b, e, p
+
+
+def test_ring_power_equals_pow_modulo_the_mersenne_number():
+    for b, e, p in _ring_pow_cases(random.Random(0x51)):
+        assert _ring_pow(b, e, p) == pow(b, e, mersenne(p)), (b, e, p)
+
+
+def test_ring_is_chosen_from_size_alone():
+    assert _ring(mersenne(255), 255) is None
+    assert _ring(mersenne(256), 256) == 256
+    # At least three quarters of d's bits: 192 of 256.
+    assert _ring(1 << 190, 256) is None
+    assert _ring(1 << 191, 256) == 256
+    assert _ring(mersenne(300), None) is None
+
+
+def test_ring_fermat_test_agrees_with_prime_like_on_cyclotomic_cofactors():
+    sympy = pytest.importorskip("sympy")
+    checked = passed = 0
+    for d, v in _cyclotomic_cofactors(1300, min_d=256):
+        ring = _ring(v, d)
+        if ring is None:
+            continue
+        fermat = _ring_pow(3, v - 1, ring) % v == 1
+        # A value that passes goes on to is_probable_prime, which sympy
+        # stands in for here; the ring result is only ever a proof of
+        # compositeness.
+        assert fermat == (sympy.isprime(v) if fermat else _prime_like(v)), (d, v)
+        checked += 1
+        passed += fermat
+    assert checked > 400 and passed >= 10
 
 
 def _products_of_two_primes(sympy, rng, count):
@@ -167,7 +207,7 @@ def test_primality_agrees_with_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(0x3B5E)
     values = [
-        *_cyclotomic_cofactors(300),
+        *(v for _, v in _cyclotomic_cofactors(300)),
         *_products_of_two_primes(sympy, rng, 40),
         *_random_odd_values(sympy, rng),
     ]
@@ -230,3 +270,14 @@ def test_perfect_power_canonical_form():
 def test_no_mersenne_number_is_a_perfect_power():
     for n in range(2, 201):
         assert is_perfect_power(mersenne(n)) is None, n
+
+
+def test_perfect_power_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(0x9F)
+    for bits in (64, 700, 4000):
+        for k in _primes_up_to(bits):
+            b = rng.getrandbits(max(2, bits // k)) | 2
+            for x in (b**k - 1, b**k, b**k + 1):
+                expected = sympy.perfect_power(x)
+                assert is_perfect_power(x) == (tuple(expected) if expected else None), (x, k)

@@ -177,6 +177,36 @@ def test_pollard_rho_brent_stops_at_the_budget():
     assert s.rho_iterations == 4
 
 
+def _two_prime_divisors_of_mersenne_numbers(sympy):
+    """(p, q1 * q2) for primes 256 <= p < 700 and primes q1 < q2 < 2M that
+    divide 2^p - 1."""
+    for p in sympy.primerange(256, 700):
+        qs = [q for q in range(2 * p + 1, 2_000_000, 2 * p) if pow(2, p, q) == 1 and sympy.isprime(q)]
+        for i, q1 in enumerate(qs):
+            for q2 in qs[i + 1 :]:
+                yield p, q1 * q2
+
+
+def _split(x, ceiling, ring=None):
+    """Run _rho_brent over the seed schedule as _factor_with_rho does."""
+    s = FactorStats()
+    divisor, seed = None, 1
+    while divisor is None and s.rho_iterations < ceiling:
+        divisor = factoring._rho_brent(x, seed, s, ceiling, ring)
+        seed += 1
+    return divisor, s.rho_iterations, s.rho_calls
+
+
+def test_rho_in_the_ring_matches_rho_modulo_x():
+    sympy = pytest.importorskip("sympy")
+    cases = list(_two_prime_divisors_of_mersenne_numbers(sympy))
+    assert len(cases) >= 10
+    for p, x in cases:
+        assert mersenne(p) % x == 0
+        for ceiling in (1 << 16, 300):
+            assert _split(x, ceiling, p) == _split(x, ceiling), (p, x, ceiling)
+
+
 def test_reused_stats_give_each_call_its_own_budget():
     s = FactorStats()
     budget = Budget(rho_iterations_max=1000)
@@ -251,6 +281,17 @@ def test_factor_mersenne_tests_each_big_value_once(monkeypatch, n):
     tested = _count_calls(monkeypatch, arith, "is_probable_prime")
     factor_mersenne(n, Budget(rho_iterations_max=1000))
     assert all(k == 1 for x, k in tested.items() if x >= 1 << 64)
+
+
+@pytest.mark.parametrize("n", [1050, 2003])
+def test_cache_does_not_retest_what_the_call_tested(monkeypatch, n):
+    tested = _count_calls(monkeypatch, arith, "is_probable_prime")
+    budget = Budget(rho_iterations_max=1000)
+    factor_mersenne(n, budget)
+    alone = {x: k for x, k in tested.items() if x >= 1 << 64}
+    tested.clear()
+    factor_mersenne(n, budget, FactorCache())
+    assert {x: k for x, k in tested.items() if x >= 1 << 64} == alone
 
 
 def test_factor_mersenne_examples():
