@@ -7,6 +7,7 @@ there is no shared mutable state, and the probabilistic-looking pieces
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
@@ -155,8 +156,10 @@ def _is_strong_lucas_probable_prime(x: int) -> bool:
 def is_probable_prime(x: int) -> Verdict:
     """Classify x as PRIME, COMPOSITE, or PROBABLE_PRIME.
 
-    Below 2^64 the verdict is deterministic (strong tests against a base
-    set proven exhaustive for that range).  At or above 2^64 the verdict
+    Below 2^64 the verdict is deterministic: trial division by the primes
+    up to 199 settles every x below 199^2, since a composite there has a
+    prime factor up to 199, and strong tests against a base set proven
+    exhaustive settle the rest of that range.  At or above 2^64 the verdict
     is COMPOSITE or PROBABLE_PRIME: a strong base-3 test, a strong base-2
     test, a strong Lucas test with Selfridge parameters, and
     _EXTRA_ROUNDS further strong tests with bases drawn from a fixed
@@ -172,6 +175,8 @@ def is_probable_prime(x: int) -> Verdict:
             return Verdict.PRIME
         if x % p == 0:
             return Verdict.COMPOSITE
+    if x < _SMALL_PRIMES_SQUARED:
+        return Verdict.PRIME
     if x < _TWO_64:
         for base in _BASES_BELOW_2_64:
             if not _is_strong_probable_prime(x, base):
@@ -278,8 +283,10 @@ def _primes_up_to(limit: int) -> tuple[int, ...]:
     return tuple(i for i in range(2, limit + 1) if sieve[i])
 
 
-# Trial divisors that is_probable_prime tries before any strong test.
+# Trial divisors that is_probable_prime tries before any strong test; an
+# x below the square of the last one that none divides is prime.
 _SMALL_PRIMES = _primes_up_to(199)
+_SMALL_PRIMES_SQUARED = _SMALL_PRIMES[-1] ** 2
 
 
 def integer_root(x: int, k: int) -> int:
@@ -296,6 +303,13 @@ def integer_root(x: int, k: int) -> int:
         if nr >= r:
             return r
         r = nr
+
+
+@functools.lru_cache(maxsize=None)
+def _exponent_table(limit: int) -> tuple[int, ...]:
+    """The primes up to limit, a power of two, for is_perfect_power.  One
+    table per power of two, so a run of inputs of similar size sieves once."""
+    return _primes_up_to(limit)
 
 
 # Witness primes per exponent k for is_perfect_power's residue sieve.
@@ -342,11 +356,13 @@ def is_perfect_power(x: int) -> tuple[int, int] | None:
     """
     if x < 2:
         raise ValueError("x must be >= 2")
+    # The base only shrinks, so one table sized for x serves every pass.
+    table = _exponent_table(1 << (x.bit_length() - 1).bit_length())
     base, exp = x, 1
     reduced = True
     while reduced:
         reduced = False
-        for k in _primes_up_to(base.bit_length()):
+        for k in table[: bisect.bisect_right(table, base.bit_length())]:
             if _not_a_power(base, k):
                 continue
             r = integer_root(base, k)

@@ -8,8 +8,14 @@ stderr, so the output is pipeline-friendly.  Exit codes: 0 success,
 main is the one command runner: it takes the cache path from --cache or,
 failing that, $MERSENNE_OMEGA_CACHE, loads the cache before the command
 runs (so a bad cache file is reported before a usage error), lets the
-command compute and print, then saves the cache once.  A failed save
-exits 4 but leaves the result already printed on stdout.
+command compute and print, then saves the cache once if the command
+changed or added an entry; otherwise the file is left as it was.  A
+cached entry whose listed primes fail their check when first read, or
+at that save, exits 4.  A failed save exits 4 but leaves the result
+already printed on stdout.
+
+Only factoring and storage are imported up front; each command imports
+the modules it alone needs (classify, census, cyclotomic) when it runs.
 """
 
 from __future__ import annotations
@@ -20,9 +26,6 @@ import os
 import sys
 from pathlib import Path
 
-from .census import CensusConfig, run_census
-from .classify import classify_index, verify_identities, verify_structure, verify_structures_in_range
-from .cyclotomic import primitive_prime_divisors
 from .factoring import Budget, FactorStats, factor_mersenne
 from .storage import (
     CacheError,
@@ -98,6 +101,8 @@ def _cmd_omega(args, cache: FactorCache) -> int:
 
 
 def _cmd_primitive(args, cache: FactorCache) -> int:
+    from .cyclotomic import primitive_prime_divisors
+
     f = factor_mersenne(args.n, cache=cache)
     if f.complete:
         report = primitive_prime_divisors(args.n, f)
@@ -109,6 +114,8 @@ def _cmd_primitive(args, cache: FactorCache) -> int:
 
 
 def _classification_payload(n: int, f) -> dict:
+    from .classify import classify_index, verify_structure
+
     form = classify_index(n)
     report = verify_structure(n, f)
     return {
@@ -148,6 +155,8 @@ def _suite_line(s) -> str:
 
 
 def _cmd_verify(args, cache: FactorCache) -> int:
+    from .classify import verify_identities, verify_structures_in_range
+
     identity = verify_identities(args.max, cache=cache)
     structure = verify_structures_in_range(args.max, cache=cache)
     suites = list(identity.suites) + [structure]
@@ -174,6 +183,8 @@ def _cmd_verify(args, cache: FactorCache) -> int:
 
 
 def _cmd_census(args, cache: FactorCache) -> int:
+    from .census import CensusConfig, run_census
+
     config = CensusConfig(n_min=args.min, n_max=args.max, epsilon=args.epsilon)
     records, summary = run_census(config, cache)
     _write_text(census_csv(records), args.out)
@@ -272,7 +283,7 @@ def main(argv=None) -> int:
     try:
         cache = load_cache(path) if path and Path(path).exists() else FactorCache()
         code = args.func(args, cache)
-        if path:
+        if path and cache.changed:
             save_cache(cache, path)
         return code
     except CacheError as exc:

@@ -133,8 +133,8 @@ class FactorStats:
 
 # Trial division reuses its tables across calls: one per rung of
 # _trial_limit, so the default bound's seven (2^10, 2^12, ..., 2^20, then
-# 2M) all stay cached.  is_perfect_power sieves its small tables uncached,
-# so they never evict these.
+# 2M) all stay cached.  is_perfect_power keeps its exponent tables in
+# arith, so they never evict these.
 _sieve_primes = functools.lru_cache(maxsize=8)(_primes_up_to)
 
 

@@ -10,12 +10,13 @@ Cache file format (single JSON document, UTF-8, trailing newline):
 
 Primes and cofactors are decimal strings so arbitrary precision survives
 any JSON parser; entries are sorted by n and keys have a fixed order, so
-serialization is canonical.  Every entry is re-verified on load (dividing
-2^n - 1 by each listed prime as often as its exponent says must leave the
-cofactor, and the listed primes must be prime; each distinct prime is
-tested once per load) — the file is never trusted.  Saving renames a
-finished temporary file over the old one, so a crash mid-write leaves
-the old file intact.
+serialization is canonical.  The file is never trusted.  Loading checks
+every entry's shape: dividing 2^n - 1 by each listed prime as often as
+its exponent says must leave the cofactor, and the status must match it.
+The costlier test, that the listed primes are prime, is made when an
+entry is first read (see FactorCache), so an untested prime is never
+returned, compared or written.  Saving renames a finished temporary file over the old one, so a crash
+mid-write leaves the old file intact.
 
 Known-factor import format: text lines "n factor" in decimal, '#' lines
 are comments, blank lines are ignored.
@@ -57,13 +58,27 @@ class CacheError(Exception):
 class FactorCache:
     """In-memory map from index n to the known factorization of 2^n - 1.
 
-    Reads need no lock; add_primes calls are serialized and union factor
-    knowledge per entry: exponents are recomputed against 2^n - 1, so a
-    repeated call is idempotent and known primes are never lost.
+    add_primes calls are serialized and union factor knowledge per entry:
+    exponents are recomputed against 2^n - 1, so a repeated call is
+    idempotent and known primes are never lost.  changed turns true when
+    an add_primes call adds an entry or alters one.
+
+    Entries loaded from a file are unread until their listed primes have
+    been tested: get tests an entry before it first returns it, and
+    equality and save_cache test every entry not yet read.  Each distinct
+    prime is tested once per cache.  A read of an entry already tested
+    takes no lock.
     """
 
     def __init__(self) -> None:
         self._entries: dict[int, Factorization] = {}
+        # Loaded entries whose listed primes are not yet tested, the primes
+        # tested so far (3 is listed under every even n), and the file they
+        # came from, which errors name.
+        self._unread: set[int] = set()
+        self._tested: set[int] = set()
+        self._source = ""
+        self.changed = False
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -72,10 +87,40 @@ class FactorCache:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FactorCache):
             return NotImplemented
+        self._read_all()
+        other._read_all()
         return self._entries == other._entries
 
     def get(self, n: int) -> Factorization | None:
+        """The entry for n, or None.  Raises CacheError when the entry was
+        loaded with a listed prime that is composite."""
+        if n in self._unread:
+            with self._lock:
+                self._verify((n,))
         return self._entries.get(n)
+
+    def _read_all(self) -> None:
+        """Test every entry not yet read; raises CacheError as get does."""
+        if self._unread:
+            with self._lock:
+                self._verify(self._unread)
+
+    def _verify(self, indices) -> None:
+        """Test the listed primes of the unread entries among indices, which
+        are read from then on.  An entry that lists a composite stays
+        unread, and CacheError names every such n.  The lock is held."""
+        problems = []
+        for n in sorted(self._unread.intersection(indices)):
+            for p in self._entries[n].primes():
+                if p not in self._tested:
+                    if not _prime_like(p):
+                        problems.append(f"n={n}: listed factor {p} is composite")
+                        break
+                    self._tested.add(p)
+            else:
+                self._unread.discard(n)
+        if problems:
+            raise CacheError(f"{self._source}: rejected entries: " + "; ".join(problems))
 
     def indices(self) -> list[int]:
         return sorted(self._entries)
@@ -89,6 +134,7 @@ class FactorCache:
         so a cofactor the caller already tested is not tested again.
         """
         with self._lock:
+            self._verify((n,))
             target = mersenne(n)
             existing = self._entries.get(n)
             known = set(existing.primes()) if existing is not None else set()
@@ -107,11 +153,13 @@ class FactorCache:
                 factors.sort()
                 cofactor = 1
             entry = Factorization(target, tuple(factors), cofactor)
-            self._entries[n] = entry
+            if entry != existing:
+                self._entries[n] = entry
+                self.changed = True
             return entry
 
 
-def _verify_entry(n: int, factors, cofactor: int, status: str, checked: set[int]) -> Factorization:
+def _verify_entry(n: int, factors, cofactor: int, status: str) -> Factorization:
     entry = Factorization(mersenne(n), factors, cofactor)
     # Divide rather than multiply out: a forged exponent is refused after
     # at most n divisions instead of building p^e.
@@ -125,18 +173,14 @@ def _verify_entry(n: int, factors, cofactor: int, status: str, checked: set[int]
         raise ValueError("factor product does not reconstruct 2^n - 1")
     if entry.status != status:
         raise ValueError(f"status {status!r} disagrees with cofactor")
-    for p, _ in factors:
-        if p not in checked:
-            if not _prime_like(p):
-                raise ValueError(f"listed factor {p} is composite")
-            checked.add(p)
     return entry
 
 
 def load_cache(path) -> FactorCache:
-    """Parse and verify a cache file.  Raises CacheError on parse failure,
-    on a malformed document, or when any entry fails verification (all
-    offending n are listed)."""
+    """Parse a cache file and check the shape of every entry.  Raises
+    CacheError on parse failure, on a malformed document, or when any
+    entry fails the check (all offending n are listed).  The listed primes
+    are tested when each entry is first read (see FactorCache)."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
@@ -149,27 +193,29 @@ def load_cache(path) -> FactorCache:
         raise CacheError(f"{path}: entries must be a list of objects")
     cache = FactorCache()
     problems = []
-    # Primes already checked in this file; 3 is listed under every even n.
-    checked: set[int] = set()
     for raw in entries:
         try:
             n = int(raw["n"])
             factors = tuple((int(p), int(e)) for p, e in raw["factors"])
             cofactor = int(raw.get("cofactor", "1"))
-            entry = _verify_entry(n, factors, cofactor, raw["status"], checked)
+            entry = _verify_entry(n, factors, cofactor, raw["status"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             problems.append(f"n={raw.get('n', '?')}: {exc}")
             continue
         cache._entries[n] = entry
     if problems:
         raise CacheError(f"{path}: rejected entries: " + "; ".join(problems))
+    cache._unread = set(cache._entries)
+    cache._source = str(path)
     return cache
 
 
 def save_cache(cache: FactorCache, path) -> None:
     """Write the canonical JSON form (stable ordering, trailing newline)
-    to a temporary file beside path, then rename it over path.  On failure
-    the temporary file is removed and path is left as it was."""
+    to a temporary file beside path, then rename it over path.  Every entry
+    not yet read is tested first, so CacheError leaves path as it was.  On
+    failure the temporary file is removed and path is left as it was."""
+    cache._read_all()
     entries = []
     for n in cache.indices():
         f = cache.get(n)

@@ -67,3 +67,31 @@ def test_primality_test_keeps_one_parameter():
     # perfbench/spans.py wraps it as traced(x); a second parameter would
     # break the traced run.
     assert list(inspect.signature(arith.is_probable_prime).parameters) == ["x"]
+
+
+def _names_imported_at_import_time(tree):
+    """Last components of the modules and names imported outside function
+    bodies, which run when the module is imported."""
+    names = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+            if node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_cli_and_package_import_no_command_module_at_module_level():
+    # classify, census and cyclotomic are imported by the commands that use
+    # them, so a warm factor or omega query never loads them.
+    deferred = {"classify", "census", "cyclotomic"}
+    for filename in ("cli.py", "__init__.py"):
+        tree = ast.parse(Path(mersenne_omega.__file__).with_name(filename).read_text())
+        assert _names_imported_at_import_time(tree).isdisjoint(deferred), filename

@@ -13,6 +13,7 @@ from mersenne_omega import (
     mod_mersenne,
     multiplicative_order_of_two,
 )
+from mersenne_omega import arith
 from mersenne_omega.arith import _is_strong_probable_prime, _prime_like, _primes_up_to, _ring, _ring_pow
 from mersenne_omega.cyclotomic import cyclotomic_split
 from mersenne_omega.factoring import factor_natural, trial_divide_congruence
@@ -81,6 +82,19 @@ def test_primality_agrees_with_trial_division_below_10k():
     for n in range(10000):
         got = is_probable_prime(n) is not Verdict.COMPOSITE
         assert got == slow(n), n
+
+
+def test_small_values_are_settled_by_trial_division(monkeypatch):
+    strong_tests = []
+    strong = arith._is_strong_probable_prime
+    monkeypatch.setattr(
+        arith, "_is_strong_probable_prime", lambda x, base: strong_tests.append(x) or strong(x, base)
+    )
+    primes = set(_primes_up_to(50_000))
+    for x in range(50_000):
+        assert (is_probable_prime(x) is Verdict.PRIME) == (x in primes), x
+    # 199^2 = 39601: below it a composite has a prime factor up to 199.
+    assert strong_tests and min(strong_tests) > 199**2
 
 
 def test_primality_verdicts_split_at_2_64():
@@ -265,6 +279,23 @@ def test_perfect_power_canonical_form():
     assert is_perfect_power(8388607) is None
     with pytest.raises(ValueError):
         is_perfect_power(1)
+
+
+def test_perfect_power_sieves_its_exponent_table_once(monkeypatch):
+    sieves = []
+    monkeypatch.setattr(arith, "_primes_up_to", lambda limit: sieves.append(limit) or _primes_up_to(limit))
+    arith._exponent_table.cache_clear()
+    rng = random.Random(0x3000)
+    for i in range(50):
+        if i % 5:
+            x = rng.getrandbits(3000) | 1 << 2999
+            assert is_perfect_power(x) is None
+        else:
+            # A cube: the 1000-bit root is checked from the same table.
+            b = rng.getrandbits(1000) | 1 << 999 | 1
+            assert is_perfect_power(b**3) == (b, 3)
+    assert len(sieves) <= 1
+    arith._exponent_table.cache_clear()
 
 
 def test_no_mersenne_number_is_a_perfect_power():

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mersenne_omega
 from mersenne_omega import FactorCache, cli, save_cache
 from mersenne_omega.cli import main
 
@@ -434,3 +439,87 @@ def test_small_queries_build_only_the_smallest_trial_table(capsys, monkeypatch, 
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SMALL_QUERIES[argv]
     assert sieve_requests and max(sieve_requests) <= 1024
+
+
+def _imported_modules(argv, cwd):
+    """The mersenne_omega modules that `python -m mersenne_omega.cli argv`
+    imports, read from the interpreter's -X importtime report."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mersenne_omega.__file__).parents[1]))
+    env.pop("MERSENNE_OMEGA_CACHE", None)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "mersenne_omega.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    names = {line.rsplit("|", 1)[-1].strip() for line in report}
+    return {name for name in names if name.startswith("mersenne_omega.")}
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        pytest.param(("factor", "7"), {"cyclotomic", "classify", "census"}, id="factor"),
+        pytest.param(("omega", "--range", "2", "12"), {"cyclotomic", "classify", "census"}, id="omega"),
+        pytest.param(("primitive", "12"), {"classify", "census"}, id="primitive"),
+        pytest.param(("import", "known.txt"), {"cyclotomic", "classify", "census"}, id="import"),
+    ],
+)
+def test_warm_queries_import_only_what_they_use(tmp_path, argv, unused):
+    (tmp_path / "known.txt").write_text("11 23\n12 13\n")
+    path = tmp_path / "c.json"
+    assert main(["omega", "--range", "2", "12", "--cache", str(path)]) == 0
+    imported = _imported_modules([*argv, "--cache", str(path)], tmp_path)
+    assert {"mersenne_omega.factoring", "mersenne_omega.storage"} <= imported
+    assert imported.isdisjoint(f"mersenne_omega.{name}" for name in unused)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factor", "7"),
+        ("omega", "--range", "2", "12"),
+        ("primitive", "12"),
+        ("classify", "9"),
+        ("verify", "--max", "12"),
+        ("census", "--min", "2", "--max", "12"),
+        ("import", "known.txt"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_query_that_adds_nothing_leaves_the_file_alone(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "known.txt").write_text("11 23\n12 13\n")
+    path = tmp_path / "c.json"
+    code, first, _ = run(capsys, *argv, "--cache", str(path))
+    assert code == 0
+    before = path.read_bytes()
+    os.utime(path, ns=(10**18, 10**18))
+    code, again, _ = run(capsys, *argv, "--cache", str(path))
+    assert code == 0
+    assert again == first
+    assert path.read_bytes() == before
+    assert path.stat().st_mtime_ns == 10**18
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "known.txt"]
+
+
+def test_a_composite_listed_prime_is_refused_when_read(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    entries = [
+        {"n": 7, "factors": [["127", 1]], "status": "complete"},
+        {"n": 11, "factors": [["2047", 1]], "status": "complete"},
+    ]
+    path.write_text(json.dumps({"version": 1, "entries": entries}))
+    before = path.read_bytes()
+    code, out, _ = run(capsys, "factor", "7", "--cache", str(path))
+    assert (code, out) == (0, "127^1\n")
+    code, _, err = run(capsys, "factor", "11", "--cache", str(path))
+    assert code == 4
+    assert "n=11" in err
+    # Adding an entry saves, and the save tests n = 11, still unread.
+    code, out, err = run(capsys, "factor", "13", "--cache", str(path))
+    assert code == 4
+    assert out == "8191^1\n"
+    assert "n=11" in err
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]

@@ -67,21 +67,76 @@ def test_load_verifies_entries(tmp_path):
     assert "n=11" in str(exc.value)
 
 
-def test_load_rejects_composite_listed_prime(tmp_path):
+COMPOSITE_LISTED = {
+    "version": 1,
+    "entries": [
+        {"n": 7, "factors": [["127", 1]], "status": "complete"},
+        {"n": 11, "factors": [["2047", 1]], "status": "complete"},
+        {"n": 22, "factors": [["3", 1], ["2047", 1]], "cofactor": "683", "status": "partial"},
+    ],
+}
+
+
+def test_read_rejects_composite_listed_prime(tmp_path):
     path = tmp_path / "bad.json"
-    doc = {
-        "version": 1,
-        "entries": [
-            {"n": 11, "factors": [["2047", 1]], "status": "complete"},
-            {"n": 22, "factors": [["3", 1], ["2047", 1]], "cofactor": "683", "status": "partial"},
-        ],
-    }
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CacheError) as exc:
-        load_cache(path)
+    path.write_text(json.dumps(COMPOSITE_LISTED))
+    cache = load_cache(path)
+    # Primality is tested when an entry is first read: n = 7 is fine.
+    assert cache.get(7).factors == ((127, 1),)
     # A composite is refused under every index that lists it.
+    with pytest.raises(CacheError, match="n=11: listed factor 2047 is composite"):
+        cache.get(11)
+    with pytest.raises(CacheError, match="n=22: listed factor 2047 is composite"):
+        cache.get(22)
+    # A refused entry stays unread, so it is refused again and never saved.
+    with pytest.raises(CacheError, match="n=11: listed factor 2047 is composite"):
+        cache.get(11)
+    out = tmp_path / "out.json"
+    with pytest.raises(CacheError) as exc:
+        save_cache(cache, out)
     assert "n=11: listed factor 2047 is composite" in str(exc.value)
     assert "n=22: listed factor 2047 is composite" in str(exc.value)
+    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_merge_into_an_unread_entry_tests_it_first(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(COMPOSITE_LISTED))
+    cache = load_cache(path)
+    with pytest.raises(CacheError, match="n=11"):
+        cache.add_primes(11, (23,))
+    assert not cache.changed
+
+
+def test_a_read_tests_only_that_entry(tmp_path, monkeypatch):
+    cache = FactorCache()
+    for n in (7, 11, 29):
+        factor_mersenne(n, cache=cache)
+    path = tmp_path / "cache.json"
+    save_cache(cache, path)
+    tested = []
+    original = storage._prime_like
+    monkeypatch.setattr(storage, "_prime_like", lambda x: tested.append(x) or original(x))
+    loaded = load_cache(path)
+    assert tested == []
+    assert loaded.get(29) == cache.get(29)
+    assert loaded.get(29) == cache.get(29)
+    assert tested == [233, 1103, 2089]
+
+
+def test_changed_tracks_merges_that_alter_the_cache(populated_cache, tmp_path):
+    path = tmp_path / "cache.json"
+    save_cache(populated_cache, path)
+    loaded = load_cache(path)
+    assert not loaded.changed
+    # Known primes, or primes that do not divide, change nothing.
+    loaded.add_primes(29, (233, 1103))
+    loaded.add_primes(11, (7,))
+    factor_mersenne(6, cache=loaded)
+    assert not loaded.changed
+    loaded.add_primes(12, (5,))
+    assert loaded.changed
 
 
 def test_load_tests_each_distinct_prime_once(tmp_path, monkeypatch):
