@@ -8,7 +8,7 @@ Logarithms are natural throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import lower_bound_divisors, lower_bound_omega
 from .factoring import Budget, FactorStats, factor_mersenne, factor_natural
@@ -53,22 +53,29 @@ def hw_bounds(n: int, epsilon: float) -> tuple[float, float]:
     return 2.0 ** ((1.0 - epsilon) * loglog), 2.0 ** ((1.0 + epsilon) * loglog)
 
 
-@dataclass(frozen=True)
-class CensusConfig:
+class _CensusConfigFields(NamedTuple):
     n_min: int
     n_max: int
     epsilon: float = 0.5
     budget: Budget | None = None
 
-    def __post_init__(self) -> None:
+
+class CensusConfig(_CensusConfigFields):
+    """The index range, the band's epsilon and the factoring budget of a
+    census; a NamedTuple with checked arguments, as factoring.Budget is."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 2 <= self.n_min <= self.n_max:
             raise ValueError("need 2 <= n_min <= n_max")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
+        return self
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """Per-index row.  omega_M and the fields derived from it are None
     when the factorization is partial; the band fields are None for
     n < 3, where ln ln n has the wrong sign."""
@@ -86,8 +93,7 @@ class CensusRecord:
     complete: bool
 
 
-@dataclass(frozen=True)
-class CensusSummary:
+class CensusSummary(NamedTuple):
     n_min: int
     n_max: int
     epsilon: float

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import _prime_like, integer_root, is_perfect_power, mersenne
 from .cyclotomic import divisor_list, mersenne_quotient_residue
@@ -72,8 +72,7 @@ class Clause(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class CandidateForm:
+class CandidateForm(NamedTuple):
     """Shape of n, the provable floor, and the values the classification
     permits for the number of distinct prime factors of 2^n - 1."""
 
@@ -94,8 +93,7 @@ class CandidateForm:
         return numbers
 
 
-@dataclass(frozen=True)
-class DivisorFormCheck:
+class DivisorFormCheck(NamedTuple):
     """Decomposition q = 2*l*p + 1 of a prime divisor q of 2^p - 1.
 
     passes records whether l mod 4 lies in {0, (-p) mod 4}, equivalently
@@ -109,8 +107,7 @@ class DivisorFormCheck:
     passes: bool
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     n: int
     omega: int
     matched_clause: Clause
@@ -333,8 +330,7 @@ def verify_structure(n: int, f: Factorization) -> ClassificationReport:
     return ClassificationReport(n, f.omega, clause, _decomposition(n, f), consistent, checks)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: int
     failed: int
@@ -346,8 +342,7 @@ class SuiteResult:
         return self.failed == 0
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     max_n: int
     suites: tuple[SuiteResult, ...]
 

@@ -21,7 +21,6 @@ the modules it alone needs (classify, census, cyclotomic) when it runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -76,8 +75,8 @@ def _cmd_factor(args, cache: FactorCache) -> int:
         print(f"cofactor {f.cofactor}")
     print(f"status: {f.status}", file=sys.stderr)
     if args.stats:
-        for field in dataclasses.fields(stats):
-            print(f"{field.name}: {getattr(stats, field.name)}", file=sys.stderr)
+        for name in FactorStats.__slots__:
+            print(f"{name}: {getattr(stats, name)}", file=sys.stderr)
     return _exit_code(f.complete)
 
 

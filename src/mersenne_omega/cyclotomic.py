@@ -8,7 +8,7 @@ factor engine attack each part with congruence conditions specific to d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import _prime_like, mersenne
 from .factoring import Factorization, factor_natural
@@ -25,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CyclotomicPart:
+class CyclotomicPart(NamedTuple):
     """One factor Phi_d(2) of 2^n - 1, for a divisor d of n.
 
     intrinsic is gcd(Phi_d(2), d): the only prime that can divide the
@@ -39,8 +38,7 @@ class CyclotomicPart:
     intrinsic: int
 
 
-@dataclass(frozen=True)
-class PrimitiveReport:
+class PrimitiveReport(NamedTuple):
     """Primitive prime divisors of 2^n - 1 (order of 2 equals n) and
     their product with multiplicity."""
 

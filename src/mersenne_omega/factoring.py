@@ -10,8 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import _prime_like, _primes_up_to, _ring, is_perfect_power, lucas_lehmer, mersenne
 
@@ -30,8 +29,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Budget:
+# The records are NamedTuples, not dataclasses: importing dataclasses
+# (and with it inspect) costs each CLI process about 10 ms, and every
+# decorated class about 1 ms more.  A record that checks its arguments
+# is a NamedTuple of its fields (NamedTuple allows no __new__ in its own
+# body) plus a subclass whose __new__ does the checks.
+class _BudgetFields(NamedTuple):
+    rho_iterations_max: int = 1 << 26
+    trial_division_bound: int = 2_000_000
+
+
+class Budget(_BudgetFields):
     """Work limits for one top-level factorization call.
 
     rho_iterations_max bounds the total number of iteration-function
@@ -41,21 +49,27 @@ class Budget:
     build it in full.
     """
 
-    rho_iterations_max: int = 1 << 26
-    trial_division_bound: int = 2_000_000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.rho_iterations_max <= 0:
             raise ValueError("rho_iterations_max must be positive")
         if self.trial_division_bound <= 0:
             raise ValueError("trial_division_bound must be positive")
+        return self
 
 
 DEFAULT_BUDGET = Budget()
 
 
-@dataclass(frozen=True)
-class Factorization:
+class _FactorizationFields(NamedTuple):
+    target: int
+    factors: tuple[tuple[int, int], ...]
+    cofactor: int = 1
+
+
+class Factorization(_FactorizationFields):
     """Prime factorization of target, possibly partial.
 
     factors holds (prime, exponent) pairs with strictly ascending primes;
@@ -64,11 +78,10 @@ class Factorization:
     result carries its unfactored composite part in cofactor.
     """
 
-    target: int
-    factors: tuple[tuple[int, int], ...]
-    cofactor: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.target < 1 or self.cofactor < 1:
             raise ValueError("target and cofactor must be >= 1")
         previous = 1
@@ -78,6 +91,7 @@ class Factorization:
             if exponent < 1:
                 raise ValueError("exponents must be positive")
             previous = prime
+        return self
 
     @property
     def complete(self) -> bool:
@@ -116,19 +130,37 @@ class Factorization:
         return self.product() == self.target
 
 
-@dataclass
 class FactorStats:
     """Work counters, accumulated across calls when reused.
 
     It is also the rho ledger: each top-level call caps rho_iterations at
     its value on entry plus the budget's rho_iterations_max, so one object
-    must not serve two concurrent calls.
+    must not serve two concurrent calls.  __slots__ lists the counters in
+    their fixed order.
     """
 
-    rho_iterations: int = 0
-    rho_calls: int = 0
-    trial_candidates: int = 0
-    cache_hits: int = 0
+    __slots__ = ("rho_iterations", "rho_calls", "trial_candidates", "cache_hits")
+
+    def __init__(
+        self,
+        rho_iterations: int = 0,
+        rho_calls: int = 0,
+        trial_candidates: int = 0,
+        cache_hits: int = 0,
+    ) -> None:
+        self.rho_iterations = rho_iterations
+        self.rho_calls = rho_calls
+        self.trial_candidates = trial_candidates
+        self.cache_hits = cache_hits
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FactorStats):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__)
+        return f"FactorStats({fields})"
 
 
 # Trial division reuses its tables across calls: one per rung of
@@ -376,12 +408,20 @@ def factor_mersenne(
     cache.  On budget exhaustion the composite remainder is reported in
     cofactor and status is partial.
 
-    For prime n > 2 the only part is 2^n - 1 itself; while nothing has
-    been stripped from it, lucas_lehmer(n) decides its primality, a proof
-    where is_probable_prime only says "probable".  Every other primality
-    question goes to _prime_like, with one memo per call that also holds
-    the Lucas-Lehmer verdict, so no value of 2^64 or more reaches
-    is_probable_prime twice and a composite 2^n - 1 never reaches it.
+    For prime n > 2 the only part is 2^n - 1 itself.  While nothing has
+    been stripped from it, the congruence scan runs first up to 2n^2,
+    about n candidates, as many as Lucas-Lehmer has squarings.  Only when
+    that finds no factor does lucas_lehmer(n) decide primality, a proof
+    where is_probable_prime only says "probable".  Unless 2^n - 1 is then
+    prime, the scan goes on to its bound, repeating those few candidates.
+    So a 2^n - 1 with a factor that small never pays for Lucas-Lehmer,
+    and a prime one pays for no more of the scan than for Lucas-Lehmer.
+    Under the default budget the first stretch is the whole scan once
+    n >= 1000.
+    Every other primality question goes to _prime_like, with one memo per
+    call that also holds a composite Lucas-Lehmer verdict, so no value of
+    2^64 or more reaches is_probable_prime twice and a composite 2^n - 1
+    never reaches it.
     The composite leftover goes into that memo too, and the memo goes to
     the cache, so the cache does not test the leftover again.  Each part's
     d goes down to rho: values of a part with d >= 256 are tested and
@@ -421,16 +461,23 @@ def factor_mersenne(
                 counts[p] += 1
         if v == 1:
             continue
-        if mersenne_exponent and v == part.value:
-            prime = verdicts[v] = lucas_lehmer(n)
-        else:
-            prime = _prime_like(v, verdicts, _ring(v, part.d))
-        if prime:
+        whole = mersenne_exponent and v == part.value
+        if not whole and _prime_like(v, verdicts, _ring(v, part.d)):
             counts[v] += 1
             continue
-        for q in trial_divide_congruence(
-            v, part.d, min(budget.trial_division_bound, v), stats
-        ):
+        limit = min(budget.trial_division_bound, v)
+        # Up to 2n^2 there are about as many candidates as lucas_lehmer(n)
+        # has squarings: the whole 2^n - 1 is scanned that far first.
+        first = min(limit, 2 * n * n) if whole else limit
+        found = trial_divide_congruence(v, part.d, first, stats)
+        if whole and not found:
+            if lucas_lehmer(n):
+                counts[v] += 1
+                continue
+            verdicts[v] = False
+        if first < limit:
+            found = trial_divide_congruence(v, part.d, limit, stats)
+        for q in found:
             while v % q == 0:
                 v //= q
                 counts[q] += 1

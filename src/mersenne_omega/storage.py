@@ -30,8 +30,8 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .arith import _prime_like, mersenne
 from .factoring import Factorization
@@ -73,8 +73,8 @@ class FactorCache:
     def __init__(self) -> None:
         self._entries: dict[int, Factorization] = {}
         # Loaded entries whose listed primes are not yet tested, the primes
-        # tested so far (3 is listed under every even n), and the file they
-        # came from, which errors name.
+        # tested so far, on a read or an import (3 is listed under every
+        # even n), and the file they came from, which errors name.
         self._unread: set[int] = set()
         self._tested: set[int] = set()
         self._source = ""
@@ -105,6 +105,16 @@ class FactorCache:
             with self._lock:
                 self._verify(self._unread)
 
+    def _prime(self, p: int) -> bool:
+        """_prime_like(p), tested at most once per cache when p is prime.
+        It needs no lock: two threads racing on one p only test it twice."""
+        if p in self._tested:
+            return True
+        if not _prime_like(p):
+            return False
+        self._tested.add(p)
+        return True
+
     def _verify(self, indices) -> None:
         """Test the listed primes of the unread entries among indices, which
         are read from then on.  An entry that lists a composite stays
@@ -112,11 +122,9 @@ class FactorCache:
         problems = []
         for n in sorted(self._unread.intersection(indices)):
             for p in self._entries[n].primes():
-                if p not in self._tested:
-                    if not _prime_like(p):
-                        problems.append(f"n={n}: listed factor {p} is composite")
-                        break
-                    self._tested.add(p)
+                if not self._prime(p):
+                    problems.append(f"n={n}: listed factor {p} is composite")
+                    break
             else:
                 self._unread.discard(n)
         if problems:
@@ -242,8 +250,7 @@ def save_cache(cache: FactorCache, path) -> None:
         raise
 
 
-@dataclass(frozen=True)
-class ImportSummary:
+class ImportSummary(NamedTuple):
     lines_total: int
     accepted: int
     rejected: tuple[tuple[int, str], ...]  # (line number, reason)
@@ -258,7 +265,9 @@ def import_known_factors(path, cache: FactorCache) -> ImportSummary:
 
     Each factor must divide 2^n - 1 and pass the primality check before
     it is merged (exponents are determined by repeated division inside
-    the merge).  Bad lines are reported and skipped; the import goes on.
+    the merge).  The check goes through the cache's tested set, so a
+    prime that several lines name, or that an entry lists, is tested
+    once.  Bad lines are reported and skipped; the import goes on.
     """
     accepted = 0
     rejected = []
@@ -284,7 +293,7 @@ def import_known_factors(path, cache: FactorCache) -> ImportSummary:
             if factor < 2 or mersenne(n) % factor != 0:
                 rejected.append((line_no, f"{factor} does not divide 2^{n} - 1"))
                 continue
-            if not _prime_like(factor):
+            if not cache._prime(factor):
                 rejected.append((line_no, f"{factor} is composite"))
                 continue
             cache.add_primes(n, (factor,))

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -53,8 +52,13 @@ def test_trial_sieve_keeps_its_name():
 def test_work_ledger_keeps_its_binding():
     # perfbench/spans.py builds a FactorStats when factor_mersenne gets
     # none, and reads these four counters around each call.
-    fields = [f.name for f in dataclasses.fields(factoring.FactorStats())]
-    assert fields == ["rho_iterations", "rho_calls", "trial_candidates", "cache_hits"]
+    names = ["rho_iterations", "rho_calls", "trial_candidates", "cache_hits"]
+    assert list(factoring.FactorStats.__slots__) == names
+    stats = factoring.FactorStats()
+    for name in names:
+        assert getattr(stats, name) == 0
+        setattr(stats, name, getattr(stats, name) + 1)
+        assert getattr(stats, name) == 1
     assert list(inspect.signature(factoring.factor_mersenne).parameters) == [
         "n",
         "budget",
@@ -95,3 +99,18 @@ def test_cli_and_package_import_no_command_module_at_module_level():
     for filename in ("cli.py", "__init__.py"):
         tree = ast.parse(Path(mersenne_omega.__file__).with_name(filename).read_text())
         assert _names_imported_at_import_time(tree).isdisjoint(deferred), filename
+
+
+def test_no_module_imports_dataclasses():
+    # The records are NamedTuples or __slots__ classes, so no process pays
+    # for importing dataclasses and inspect.
+    for path in sorted(Path(mersenne_omega.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in modules, path.name

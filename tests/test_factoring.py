@@ -276,6 +276,33 @@ def test_composite_mersenne_number_goes_on_after_lucas_lehmer(monkeypatch, p, fa
     assert mersenne(p) not in tested
 
 
+@pytest.mark.parametrize("p", [11, 23, 1013, 1019, 1031])
+def test_scan_factor_spares_lucas_lehmer(monkeypatch, p):
+    # Each of these 2^p - 1 has a prime factor below the scan bound.
+    def refuse(_):
+        raise AssertionError("lucas_lehmer ran")
+
+    monkeypatch.setattr(factoring, "lucas_lehmer", refuse)
+    f = factor_mersenne(p, Budget(rho_iterations_max=1000))
+    assert f.factors and f.factors[0][0] < DEFAULT_BUDGET.trial_division_bound
+    assert f.reconstructs()
+
+
+@pytest.mark.parametrize("p", [31, 61, 127, 521])
+def test_prime_mersenne_number_pays_for_a_short_scan_only(p):
+    # Lucas-Lehmer runs once the scan has passed 2p^2, fewer than p candidates.
+    stats = FactorStats()
+    assert factor_mersenne(p, stats=stats).factors == ((mersenne(p), 1),)
+    assert 0 < stats.trial_candidates < p
+
+
+def test_scan_goes_on_past_2p_squared_after_a_factor():
+    # 18121 | 2^151 - 1 lies below 2 * 151^2 = 45602; 55871 and 165799 lie
+    # past it, and a one-iteration rho budget cannot find them.
+    f = factor_mersenne(151, Budget(rho_iterations_max=1))
+    assert f.primes() == (18121, 55871, 165799) and not f.complete
+
+
 @pytest.mark.parametrize("n", [101, 1050, 1279, 2310])
 def test_factor_mersenne_tests_each_big_value_once(monkeypatch, n):
     tested = _count_calls(monkeypatch, arith, "is_probable_prime")

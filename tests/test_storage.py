@@ -18,6 +18,7 @@ from mersenne_omega import (
 )
 from mersenne_omega.census import CensusConfig
 from mersenne_omega.factoring import Budget, Factorization
+from mersenne_omega.storage import ImportSummary
 
 
 @pytest.fixture
@@ -285,6 +286,28 @@ def test_import_known_factors(tmp_path):
     assert cache.get(49).factors == ((127, 1), (4432676798593, 1))
 
 
+def test_import_tests_each_distinct_prime_once(tmp_path, monkeypatch):
+    # Every line names a prime the warm entry lists too: the import's check
+    # and the entry's first read share one tested set.
+    cache = FactorCache()
+    for n in range(2, 41):
+        factor_mersenne(n, cache=cache)
+    lines = [f"{n} {p}" for n in cache.indices() for p in cache.get(n).primes()]
+    path = tmp_path / "cache.json"
+    save_cache(cache, path)
+    table = tmp_path / "known.txt"
+    table.write_text("\n".join(lines) + "\n")
+    warm = load_cache(path)
+    tested = []
+    original = storage._prime_like
+    monkeypatch.setattr(storage, "_prime_like", lambda x, *a: tested.append(x) or original(x, *a))
+    summary = import_known_factors(table, warm)
+    assert (summary.lines_total, summary.accepted, summary.rejected) == (len(lines), len(lines), ())
+    primes = {int(line.split()[1]) for line in lines}
+    assert sorted(tested) == sorted(primes)
+    assert warm == cache and not warm.changed
+
+
 def test_import_rejects_malformed_lines(tmp_path):
     table = tmp_path / "known.txt"
     table.write_text("11\nx y\n0 3\n11 2047\n")
@@ -292,6 +315,23 @@ def test_import_rejects_malformed_lines(tmp_path):
     summary = import_known_factors(table, cache)
     assert summary.accepted == 0
     assert summary.rejected_count == 4
+
+
+def test_import_names_the_reason_for_each_rejected_line(tmp_path):
+    table = tmp_path / "known.txt"
+    table.write_text("11\nx y\n0 3\n11 2047\n11 10\n# 11 89\n\n11 23\n")
+    summary = import_known_factors(table, FactorCache())
+    assert summary == ImportSummary(
+        6,
+        1,
+        (
+            (1, "expected two fields: n factor"),
+            (2, "fields must be decimal integers"),
+            (3, "n must be >= 1"),
+            (4, "2047 is composite"),
+            (5, "10 does not divide 2^11 - 1"),
+        ),
+    )
 
 
 def test_import_is_idempotent(tmp_path):
