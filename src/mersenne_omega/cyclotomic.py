@@ -90,10 +90,8 @@ def multiplicative_order_of_two(q: int, divisor_hint: int | None = None) -> int:
     """
     if q < 3 or q % 2 == 0 or not _prime_like(q):
         raise ValueError("q must be an odd prime")
-    if divisor_hint is not None and divisor_hint >= 1 and pow(2, divisor_hint, q) == 1:
-        e = divisor_hint
-    else:
-        e = q - 1
+    hint = divisor_hint or 0
+    e = hint if hint >= 1 and pow(2, hint, q) == 1 else q - 1
     f = factor_natural(e)
     if not f.complete:
         raise ArithmeticError(f"cannot factor exponent bound {e} within budget")
@@ -105,10 +103,11 @@ def multiplicative_order_of_two(q: int, divisor_hint: int | None = None) -> int:
 
 def primitive_prime_divisors(n: int, f: Factorization) -> PrimitiveReport:
     """Filter the primes of a complete factorization of 2^n - 1 down to
-    those whose multiplicative order of 2 is exactly n.
-
-    A partial factorization is rejected: a missing factor would make
-    primitivity undecidable.
+    those whose multiplicative order of 2 is exactly n: with n factored
+    once, q | 2^n - 1 is primitive when 2^(n/r) != 1 (mod q) for every
+    prime r | n.  Refuses a partial factorization (a missing factor makes
+    primitivity undecidable) and one whose listed primes are not odd
+    primes or do not rebuild 2^n - 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -116,13 +115,13 @@ def primitive_prime_divisors(n: int, f: Factorization) -> PrimitiveReport:
         raise ValueError("complete factorization required")
     if f.target != mersenne(n):
         raise ValueError(f"factorization target is not 2^{n} - 1")
-    primes = []
-    part = 1
-    for q, e in f.factors:
-        if multiplicative_order_of_two(q, divisor_hint=n) == n:
-            primes.append(q)
-            part *= q**e
-    return PrimitiveReport(n, tuple(primes), part)
+    if any(q < 3 or q % 2 == 0 or not _prime_like(q) for q in f.primes()):
+        raise ValueError("q must be an odd prime")
+    if not f.reconstructs():
+        raise ValueError(f"factorization does not rebuild 2^{n} - 1")
+    n_primes = factor_natural(n).primes()
+    primes = tuple(q for q in f.primes() if all(pow(2, n // r, q) != 1 for r in n_primes))
+    return PrimitiveReport(n, primes, math.prod(q**e for q, e in f.factors if q in primes))
 
 
 def mersenne_quotient_residue(p: int, m: int) -> int:

@@ -1,6 +1,6 @@
 import pytest
 
-from mersenne_omega import factoring
+from mersenne_omega import cyclotomic, factoring
 
 
 @pytest.fixture
@@ -15,3 +15,17 @@ def sieve_requests(monkeypatch):
 
     monkeypatch.setattr(factoring, "_sieve_primes", recording)
     return requests
+
+
+@pytest.fixture
+def natural_calls(monkeypatch):
+    """Record every value cyclotomic passes to factor_natural."""
+    calls = []
+    factor_natural = cyclotomic.factor_natural
+
+    def recording(x, *args, **kwargs):
+        calls.append(x)
+        return factor_natural(x, *args, **kwargs)
+
+    monkeypatch.setattr(cyclotomic, "factor_natural", recording)
+    return calls

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from mersenne_omega import (
+    Budget,
     cyclotomic_split,
     cyclotomic_value,
     divisor_list,
@@ -91,6 +92,51 @@ def test_primitive_prime_divisors_rejects_partial_or_mismatched():
         primitive_prime_divisors(11, partial)
     with pytest.raises(ValueError):
         primitive_prime_divisors(10, factor_mersenne(11))
+
+
+def test_primitive_prime_divisors_refuses_listed_non_primes():
+    # 63 = 7 * 9 rebuilds 2^6 - 1, but 9 is not prime; 2 is not odd.
+    with pytest.raises(ValueError, match="q must be an odd prime"):
+        primitive_prime_divisors(6, Factorization(63, ((7, 1), (9, 1))))
+    with pytest.raises(ValueError, match="q must be an odd prime"):
+        primitive_prime_divisors(6, Factorization(63, ((2, 1), (3, 2), (7, 1))))
+
+
+def test_primitive_prime_divisors_refuses_primes_that_do_not_rebuild_the_target():
+    wrong = [
+        ((23, 2), (89, 1)),  # wrong exponent
+        ((7, 1), (23, 1), (89, 1)),  # 7 does not divide 2^11 - 1
+        # A large q that does not divide 2^11 - 1: the order of 2 modulo q
+        # must not be looked for by factoring q - 1.
+        ((23, 1), (89, 1), (mersenne(521), 1)),
+    ]
+    for factors in wrong:
+        with pytest.raises(ValueError, match="does not rebuild"):
+            primitive_prime_divisors(11, Factorization(mersenne(11), factors))
+
+
+def test_primitive_prime_divisors_factor_n_once(natural_calls):
+    for n in (1, 2, 12, 60, 64, 90, 97):
+        f = factor_mersenne(n)
+        natural_calls.clear()
+        primitive_prime_divisors(n, f)
+        assert len(natural_calls) <= 1, (n, natural_calls)
+
+
+def test_primitive_prime_divisors_match_sympy_order():
+    sympy = pytest.importorskip("sympy")
+    budget = Budget(rho_iterations_max=1 << 14)
+    complete = 0
+    for n in range(1, 201):
+        f = factor_mersenne(n, budget)
+        if not f.complete:
+            continue
+        complete += 1
+        report = primitive_prime_divisors(n, f)
+        expected = tuple(q for q in f.primes() if sympy.n_order(2, q) == n)
+        assert report.primitive_primes == expected, n
+        assert report.primitive_part == math.prod(q ** f.exponent_of(q) for q in expected), n
+    assert complete > 150
 
 
 def test_primitive_divisor_law_up_to_64():

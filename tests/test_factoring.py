@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -9,6 +10,7 @@ from mersenne_omega import (
     FactorCache,
     FactorStats,
     Factorization,
+    cyclotomic_value,
     factor_mersenne,
     factor_natural,
     mersenne,
@@ -138,6 +140,84 @@ def test_trial_divide_congruence_examples():
     assert trial_divide_congruence(2047, 11, 100) == [23, 89]
     assert trial_divide_congruence(8388607, 23, 50) == [47]
     assert trial_divide_congruence(7, 4, 100) == []
+
+
+def _reference_scan(target: int, d: int, limit: int, stats: FactorStats) -> list[int]:
+    """The congruence scan as one bytecode loop over every 2*d*l + 1: the
+    reference trial_divide_congruence must match hit for hit and count
+    for count."""
+    filter_mod_8 = d % 2 == 1 and arith._prime_like(d)
+    found: list[int] = []
+    remaining = target
+    step = 2 * d
+    q = 1
+    while True:
+        q += step
+        if q > limit or q > remaining:
+            break
+        if filter_mod_8 and q & 7 not in (1, 7):
+            continue
+        stats.trial_candidates += 1
+        if remaining % q:
+            continue
+        if not arith._prime_like(q):
+            continue
+        found.append(q)
+        while remaining % q == 0:
+            remaining //= q
+    return found
+
+
+def _assert_scan_matches_reference(target: int, d: int, limits) -> None:
+    for limit in limits:
+        expected_stats, stats = FactorStats(), FactorStats()
+        expected = _reference_scan(target, d, limit, expected_stats)
+        assert trial_divide_congruence(target, d, limit, stats) == expected, (target, d, limit)
+        assert stats == expected_stats, (target, d, limit)
+
+
+def _stripped_cyclotomic_part(d: int) -> int:
+    v = cyclotomic_value(d)
+    g = math.gcd(v, d)
+    while g > 1 and v % g == 0:
+        v //= g
+    return v
+
+
+def test_trial_divide_congruence_matches_the_candidate_loop():
+    # Every d up to 400, on the part Phi_d(2) the scan sees in
+    # factor_mersenne and on what is left of it after each hit.
+    for d in range(2, 401):
+        limits = (1, 2 * d, 2 * d + 1, 10**3, 10**5, 2 * 10**6)
+        target = _stripped_cyclotomic_part(d)
+        for q in [1] + _reference_scan(target, d, limits[-1], FactorStats()):
+            while target % q == 0 and q > 1:
+                target //= q
+            _assert_scan_matches_reference(target, d, limits)
+
+
+def test_trial_divide_congruence_matches_the_candidate_loop_on_built_targets():
+    limits = (1, 100, 6000, 12289, 12290, 10**5, 2 * 10**6)
+    # A hit that leaves the target below the next candidate: 2047 = 23 * 89
+    # and 69 = 23 * 3 for d = 11, whose candidates run 23, 89, 111, ...
+    _assert_scan_matches_reference(2047, 11, limits)
+    _assert_scan_matches_reference(69, 11, limits)
+    # For d = 6 the primes 7 and 19 are d + 1 (mod 2d), so the scan does
+    # not try them, but 133 = 7 * 19 is a candidate: a composite hit,
+    # skipped on the way to the prime 157.
+    assert trial_divide_congruence(133 * 157, 6, 10**3) == [157]
+    _assert_scan_matches_reference(133 * 157, 6, limits)
+    _assert_scan_matches_reference(133 * 157 * 12289, 6, limits)
+    # Hits exactly on the end of the first block of 256 steps: 12289 =
+    # 1 + 256 * 48 for d = 24, and 59393 = 1 + 256 * 8 * 29 for d = 29.
+    for d, edge in ((24, 12289), (29, 59393)):
+        step = 2 * d if d % 2 == 0 else 8 * d
+        assert edge == 1 + 256 * step
+        target = edge * next(q for q in range(edge + step, 10**6, step) if arith._prime_like(q))
+        assert trial_divide_congruence(target, d, 10**6)[0] == edge
+        # The limits end before, on and after the edge, and mid-block.
+        _assert_scan_matches_reference(target, d, limits + (edge - 1, edge, edge + 1, edge + step))
+        _assert_scan_matches_reference(target * 3 * 5, d, limits)
 
 
 def test_trial_divide_congruence_rejects_bad_input():
