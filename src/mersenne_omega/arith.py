@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
+import itertools
 import math
 import random
 
@@ -271,16 +272,22 @@ def lucas_lehmer(p: int) -> bool:
     return mod_mersenne(s, p) == 0
 
 
+def _sieve(lo: int, hi: int) -> list[int]:
+    """All primes p with lo < p <= hi, ascending, for lo >= 1.  Only
+    (lo, hi] is sieved, by the primes up to isqrt(hi) that this sieve
+    finds first, so a long range can be walked one segment at a time."""
+    if hi <= lo:
+        return []
+    flags = bytearray([1]) * (hi - lo)  # flags[i] stands for lo + 1 + i
+    for p in _sieve(1, math.isqrt(hi)):
+        start = max(p * p, (lo // p + 1) * p)
+        flags[start - lo - 1 :: p] = bytes(len(range(start, hi + 1, p)))
+    return list(itertools.compress(range(lo + 1, hi + 1), flags))
+
+
 def _primes_up_to(limit: int) -> tuple[int, ...]:
-    """All primes p <= limit, ascending."""
-    if limit < 2:
-        return ()
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return tuple(i for i in range(2, limit + 1) if sieve[i])
+    """All primes p <= limit, ascending: _sieve in one segment."""
+    return tuple(_sieve(1, limit))
 
 
 # Trial divisors that is_probable_prime tries before any strong test; an

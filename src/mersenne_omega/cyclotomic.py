@@ -80,18 +80,15 @@ def cyclotomic_split(n: int) -> list[CyclotomicPart]:
     return [CyclotomicPart(d, v, math.gcd(v, d)) for d, v in values.items() if d >= 2]
 
 
-def multiplicative_order_of_two(q: int, divisor_hint: int | None = None) -> int:
+def multiplicative_order_of_two(q: int) -> int:
     """Return the least e >= 1 with 2^e = 1 (mod q), for an odd prime q.
 
-    When divisor_hint = n is supplied and q divides 2^n - 1, the order is
-    found by descending through the divisors of n; otherwise q - 1 is
-    factored and descended.  The order of a divisor of 2^n - 1 equals n
-    exactly when the divisor is primitive.
+    Each prime of q - 1 is divided out of e = q - 1 while 2^e stays 1
+    (mod q).  A divisor of 2^n - 1 is primitive exactly when its order is n.
     """
     if q < 3 or q % 2 == 0 or not _prime_like(q):
         raise ValueError("q must be an odd prime")
-    hint = divisor_hint or 0
-    e = hint if hint >= 1 and pow(2, hint, q) == 1 else q - 1
+    e = q - 1
     f = factor_natural(e)
     if not f.complete:
         raise ArithmeticError(f"cannot factor exponent bound {e} within budget")

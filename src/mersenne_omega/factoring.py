@@ -10,9 +10,9 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .arith import _prime_like, _primes_up_to, _ring, is_perfect_power, lucas_lehmer, mersenne
+from .arith import _prime_like, _primes_up_to, _ring, _sieve, is_perfect_power, lucas_lehmer, mersenne
 
 if TYPE_CHECKING:
     from .storage import FactorCache
@@ -43,10 +43,10 @@ class Budget(_BudgetFields):
     """Work limits for one top-level factorization call.
 
     rho_iterations_max bounds the total number of iteration-function
-    evaluations across all rho invocations triggered by the call.
-    trial_division_bound caps the prime table factor_natural trial-divides
-    by; below the cap the table is sized to sqrt(x), so small values never
-    build it in full.
+    evaluations across all rho invocations triggered by the call plus its
+    p-1 work units (see _pm1_cost).  trial_division_bound caps the prime
+    table factor_natural trial-divides by (below the cap it is sized to
+    sqrt(x), so small values never build it in full) and is p-1's B2.
     """
 
     __slots__ = ()
@@ -133,10 +133,10 @@ class Factorization(_FactorizationFields):
 class FactorStats:
     """Work counters, accumulated across calls when reused.
 
-    It is also the rho ledger: each top-level call caps rho_iterations at
-    its value on entry plus the budget's rho_iterations_max, so one object
-    must not serve two concurrent calls.  __slots__ lists the counters in
-    their fixed order.
+    rho_iterations counts rho iterations and p-1 work units, and is the
+    rho ledger: each top-level call caps it at its value on entry plus
+    the budget's rho_iterations_max, so one object must not serve two
+    concurrent calls.  __slots__ lists the counters in their fixed order.
     """
 
     __slots__ = ("rho_iterations", "rho_calls", "trial_candidates", "cache_hits")
@@ -268,6 +268,69 @@ def pollard_rho_brent(
     return _rho_brent(x, seed, stats, stats.rho_iterations + budget.rho_iterations_max)
 
 
+# Pollard p-1 for the pieces of Phi_d(2), whose primes q all have d | q - 1.
+# Stage 1 raises 3 to 2d times each prime power up to _PM1_B1, stage 2 then
+# to each prime in (_PM1_B1, B2] in turn (base 2 has order d modulo q).
+_PM1_B1 = 1 << 16
+
+
+def _segments(lo: int, hi: int) -> Iterator[list[int]]:
+    """The primes in (lo, hi], in sieve segments 2^14 wide."""
+    for a in range(lo, hi, 1 << 14):
+        yield _sieve(a, min(a + (1 << 14), hi))
+
+
+def _prime_powers() -> Iterator[int]:
+    """The largest power of each prime p <= _PM1_B1 that is <= _PM1_B1."""
+    for primes in _segments(1, _PM1_B1):
+        for p in primes:
+            q = p
+            while q * p <= _PM1_B1:
+                q *= p
+            yield q
+
+
+@functools.cache
+def _pm1_exponent() -> int:
+    return math.prod(_prime_powers())
+
+
+@functools.cache
+def _pm1_cost(bound: int) -> int:
+    """C, the work units a _pm1 run with B2 = bound charges: the stage-1
+    exponent's bits plus the stage-2 primes, 236,840 at the default bound."""
+    return _pm1_exponent().bit_length() + sum(map(len, _segments(_PM1_B1, bound)))
+
+
+def _pm1(v: int, d: int, bound: int) -> int | None:
+    """Pollard p-1 with B2 = bound on a composite piece v of Phi_d(2): a
+    proper divisor of v, or None.  Stage 2 steps from prime to prime by
+    their gaps and takes a gcd once per segment.  A gcd of v is retraced
+    one prime power or prime at a time, so no divisor is lost."""
+    a = pow(3, 2 * d * _pm1_exponent(), v)
+    g = math.gcd(a - 1, v)
+    if g == v:
+        b = pow(3, 2 * d, v)
+        g = next((h for q in _prime_powers() if (h := math.gcd((b := pow(b, q, v)) - 1, v)) > 1))
+    if g > 1:
+        return g if g < v else None
+    steps: dict[int, int] = {}
+    x, last = a, 1  # x = a^last
+    for primes in _segments(_PM1_B1, bound):
+        acc = 1
+        for r in primes:
+            step = steps.get(r - last) or steps.setdefault(r - last, pow(a, r - last, v))
+            x = x * step % v
+            acc = acc * (x - 1) % v
+            last = r
+        g = math.gcd(acc, v)
+        if g == v:
+            g = next((h for r in primes if (h := math.gcd(pow(a, r, v) - 1, v)) > 1), v)
+        if g > 1:
+            return g if g < v else None
+    return None
+
+
 def _factor_with_rho(
     value: int,
     stats: FactorStats,
@@ -275,6 +338,7 @@ def _factor_with_rho(
     counts: Counter,
     verdicts: dict[int, bool],
     d: int | None = None,
+    bound: int = 0,
 ) -> int:
     """Fully factor value (1, a prime, a perfect power or a composite)
     into counts.
@@ -284,6 +348,10 @@ def _factor_with_rho(
     calling entry point's primality memo (see _prime_like).  When value
     divides 2^d - 1, each piece that arith._ring admits is tested and
     split in that ring.
+
+    Given d, a composite piece whose budget left covers 2C (C =
+    _pm1_cost(bound)) gets rho seed 1 for at most C iterations, then if
+    need be _pm1, charged C, before seeds 2, 3, ...
     """
     leftover = 1
     stack = [(value, 1)]
@@ -300,8 +368,14 @@ def _factor_with_rho(
             b, k = power
             stack.append((b, multiplicity * k))
             continue
-        divisor = None
-        seed = 1
+        divisor, seed = None, 1
+        left = ceiling - stats.rho_iterations  # C > _PM1_B1: smaller budgets never build C
+        if d is not None and left > 2 * _PM1_B1 and left >= 2 * (cost := _pm1_cost(bound)):
+            divisor = _rho_brent(v, 1, stats, stats.rho_iterations + cost, ring)
+            if divisor is None:
+                divisor = _pm1(v, d, bound)
+                stats.rho_iterations += cost
+            seed = 2
         while divisor is None and stats.rho_iterations < ceiling:
             divisor = _rho_brent(v, seed, stats, ceiling, ring)
             seed += 1
@@ -404,7 +478,8 @@ def factor_mersenne(
     with d >= 2 (their product is the whole number); (3) strip each
     part's intrinsic prime and any primes already known from a partial
     cache entry, then run the 2*d*l + 1 congruence scan; (4) hand what
-    survives to rho, which also settles primes and perfect powers.
+    survives to rho and Pollard p-1 (see _factor_with_rho), which also
+    settles primes and perfect powers.
     Results are merged across parts, sorted, and written back to the
     cache.  On budget exhaustion the composite remainder is reported in
     cofactor and status is partial.
@@ -446,6 +521,7 @@ def factor_mersenne(
     counts: Counter = Counter()
     leftover = 1
     ceiling = stats.rho_iterations + budget.rho_iterations_max
+    bound = budget.trial_division_bound
     verdicts: dict[int, bool] = {}
     parts = cyclotomic_split(n)
     # One part exactly when n is prime (the parts are the divisors d >= 2).
@@ -466,7 +542,7 @@ def factor_mersenne(
         if not whole and _prime_like(v, verdicts, _ring(v, part.d)):
             counts[v] += 1
             continue
-        limit = min(budget.trial_division_bound, v)
+        limit = min(bound, v)
         # Up to 2n^2 there are about as many candidates as lucas_lehmer(n)
         # has squarings: the whole 2^n - 1 is scanned that far first.
         first = min(limit, 2 * n * n) if whole else limit
@@ -482,7 +558,7 @@ def factor_mersenne(
             while v % q == 0:
                 v //= q
                 counts[q] += 1
-        leftover *= _factor_with_rho(v, stats, ceiling, counts, verdicts, part.d)
+        leftover *= _factor_with_rho(v, stats, ceiling, counts, verdicts, part.d, bound)
     if leftover > 1:
         # A product of composite pieces: the cache need not test it again.
         verdicts[leftover] = False

@@ -97,6 +97,19 @@ def test_small_values_are_settled_by_trial_division(monkeypatch):
     assert strong_tests and min(strong_tests) > 199**2
 
 
+def test_sieve_segments_agree_with_the_whole_table():
+    table = _primes_up_to(300_000)
+    assert len(table) == 25997  # pi(3 * 10^5)
+    edges = (1, 2, 3, 4, 48, 49, 50, 65536, 65537, 299_999, 300_000)
+    for lo in edges:
+        for hi in edges:
+            assert arith._sieve(lo, hi) == [p for p in table if lo < p <= hi], (lo, hi)
+    segments = [arith._sieve(lo, min(lo + (1 << 16), 300_000)) for lo in range(1, 300_000, 1 << 16)]
+    assert [p for segment in segments for p in segment] == list(table)
+    window = range(65_000, 66_000)
+    assert arith._sieve(64_999, 65_999) == [x for x in window if is_probable_prime(x) is Verdict.PRIME]
+
+
 def test_primality_verdicts_split_at_2_64():
     # below 2^64 never PROBABLE_PRIME; at or above never PRIME
     assert is_probable_prime((1 << 61) - 1) is Verdict.PRIME
@@ -233,10 +246,8 @@ def test_primality_agrees_with_sympy():
 
 def test_multiplicative_order_examples():
     assert multiplicative_order_of_two(7) == 3  # 2^3 = 8 = 1 mod 7
-    assert multiplicative_order_of_two(73, divisor_hint=9) == 9
-    assert multiplicative_order_of_two(337, divisor_hint=21) == 21
-    # hint is ignored when q does not divide 2^hint - 1
-    assert multiplicative_order_of_two(7, divisor_hint=5) == 3
+    assert multiplicative_order_of_two(73) == 9
+    assert multiplicative_order_of_two(337) == 21
 
 
 def test_multiplicative_order_rejects_bad_input():

@@ -296,6 +296,82 @@ def test_reused_stats_give_each_call_its_own_budget():
     assert s.rho_iterations == 2000
 
 
+SWEEP_BUDGET = Budget(rho_iterations_max=1 << 22)
+
+# Published factorizations of 2^n - 1 whose pieces rho leaves partial, or
+# splits only late, at a 2^22 budget; p-1 finds a prime q with
+# (q - 1)/2n smooth: 44029 * 278557 (times 3) for 7432339208719 | M_101,
+# 3^2 * 13 * 37 * 53 * 193 * 457 for 5625767248687 | M_139.
+PUBLISHED = {
+    101: ((7432339208719, 1), (341117531003194129, 1)),
+    125: ((31, 1), (601, 1), (1801, 1), (269089806001, 1), (4710883168879506001, 1)),
+    139: ((5625767248687, 1), (123876132205208335762278423601, 1)),
+    157: ((852133201, 1), (60726444167, 1), (1654058017289, 1), (2134387368610417, 1)),
+}
+
+
+def test_pm1_stage_one_splits_m139():
+    # bound = B1 leaves stage 2 empty.
+    assert factoring._pm1(mersenne(139), 139, factoring._PM1_B1) == 5625767248687
+
+
+def test_pm1_stage_two_must_reach_278557_for_m101():
+    m = mersenne(101)
+    assert factoring._pm1(m, 101, factoring._PM1_B1) is None
+    assert factoring._pm1(m, 101, 278556) is None
+    assert factoring._pm1(m, 101, 278557) == 7432339208719
+
+
+def test_pm1_raises_base_three(monkeypatch):
+    bases = Counter()
+
+    def counting(*args):
+        bases[args[0]] += 1
+        return pow(*args)
+
+    monkeypatch.setattr(factoring, "pow", counting, raising=False)
+    assert factoring._pm1(mersenne(139), 139, factoring._PM1_B1) == 5625767248687
+    assert bases == {3: 1}
+
+
+@pytest.mark.parametrize("n", sorted(PUBLISHED))
+def test_pm1_completes_published_factorizations(n):
+    runs = []
+    for _ in range(2):
+        stats = FactorStats()
+        runs.append((factor_mersenne(n, SWEEP_BUDGET, stats=stats), stats))
+    assert runs[0] == runs[1]
+    f, stats = runs[0]
+    assert f.complete and f.factors == PUBLISHED[n] and f.reconstructs()
+    assert stats.rho_iterations <= SWEEP_BUDGET.rho_iterations_max
+
+
+@pytest.mark.parametrize("n", [137, 149])
+def test_pm1_leaves_smooth_free_pieces_partial_within_budget(n):
+    stats = FactorStats()
+    f = factor_mersenne(n, SWEEP_BUDGET, stats=stats)
+    assert not f.complete and f.cofactor == mersenne(n)
+    assert stats.rho_iterations == SWEEP_BUDGET.rho_iterations_max
+
+
+def test_piece_that_rho_splits_within_the_pm1_cost_keeps_its_counts():
+    stats = FactorStats()
+    f = factor_mersenne(119, SWEEP_BUDGET, stats=stats)
+    assert f.complete and f.primes()[-2:] == (62983048367, 131105292137)
+    assert stats == FactorStats(126206, 1, 8403, 0)
+    assert stats.rho_iterations < factoring._pm1_cost(SWEEP_BUDGET.trial_division_bound)
+
+
+def test_pm1_never_runs_below_twice_its_cost(monkeypatch):
+    calls = []
+    monkeypatch.setattr(factoring, "_pm1", lambda *args: calls.append(args))
+    for n in range(2, 401):
+        factor_mersenne(n, Budget(rho_iterations_max=1 << 14))
+    for n in (1050, 1061, 1459, 2310, 3000):
+        factor_mersenne(n, Budget(rho_iterations_max=1000))
+    assert calls == []
+
+
 # Prime n such as 101 send no value >= 2^64 to is_probable_prime at all;
 # test_composite_mersenne_number_goes_on_after_lucas_lehmer covers them.
 @pytest.mark.parametrize("n", [1050])
@@ -422,7 +498,7 @@ def test_factor_mersenne_order_congruences():
     # orders also q = 1 (mod 2 * ord)
     for n in range(2, 65):
         for q, _ in factor_mersenne(n).factors:
-            e = multiplicative_order_of_two(q, divisor_hint=n)
+            e = multiplicative_order_of_two(q)
             assert n % e == 0, (n, q)
             assert (q - 1) % e == 0, (n, q)
             if e % 2:
