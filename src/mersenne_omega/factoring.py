@@ -369,7 +369,7 @@ def _factor_with_rho(
             stack.append((b, multiplicity * k))
             continue
         divisor, seed = None, 1
-        left = ceiling - stats.rho_iterations  # C > _PM1_B1: smaller budgets never build C
+        left = ceiling - stats.rho_iterations  # C > _PM1_B1: small budgets never build C
         if d is not None and left > 2 * _PM1_B1 and left >= 2 * (cost := _pm1_cost(bound)):
             divisor = _rho_brent(v, 1, stats, stats.rho_iterations + cost, ring)
             if divisor is None:
