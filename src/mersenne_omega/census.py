@@ -1,6 +1,7 @@
-"""Range sweeps over indices n: arithmetic functions of n, the two-sided
-divisor-count band 2^((1 +- eps) * ln ln n), and per-index records of how
-the observed factor count of 2^n - 1 compares with every lower bound.
+"""Range sweeps over indices n: the two-sided divisor-count band
+2^((1 +- eps) * ln ln n), per-index records of how the observed factor
+count of 2^n - 1 compares with every lower bound, and their CSV form.
+The arithmetic functions of n and the floors come from classify.
 
 Logarithms are natural throughout.
 """
@@ -10,17 +11,17 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .classify import lower_bound_divisors, lower_bound_omega
-from .factoring import Budget, FactorStats, factor_mersenne, factor_natural
+from .classify import _floors, index_functions
+from .factoring import Budget, FactorStats, factor_mersenne
 
 __all__ = [
     "CensusConfig",
     "CensusRecord",
     "CensusSummary",
     "ASYMPTOTIC_NOTE",
-    "index_functions",
     "hw_bounds",
     "run_census",
+    "census_csv",
 ]
 
 # Printed with every summary: the almost-all density statement behind the
@@ -31,18 +32,6 @@ ASYMPTOTIC_NOTE = (
     "almost-all density claim untested at this scale; "
     "deterministic lower bounds are asserted instead"
 )
-
-
-def index_functions(n: int) -> tuple[int, int, int]:
-    """(number of divisors, distinct prime factors, prime factors with
-    multiplicity) of n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    f = factor_natural(n)
-    d = 1
-    for _, e in f.factors:
-        d *= e + 1
-    return d, f.omega, f.bigomega
 
 
 def hw_bounds(n: int, epsilon: float) -> tuple[float, float]:
@@ -128,8 +117,7 @@ def run_census(config: CensusConfig, cache=None, stats: FactorStats | None = Non
     final_true = final_total = 0
     for n in range(config.n_min, config.n_max + 1):
         d_n, omega_n, bigomega_n = index_functions(n)
-        bound_p2 = lower_bound_omega(n)
-        bound_div = lower_bound_divisors(n)
+        bound_p2, bound_div = _floors(n, d_n, omega_n, bigomega_n)
         f = factor_mersenne(n, config.budget, cache, stats)
         omega_m = f.omega if f.complete else None
 
@@ -185,3 +173,29 @@ def run_census(config: CensusConfig, cache=None, stats: FactorStats | None = Non
         uncorrected_bound_witnesses=tuple(witnesses),
     )
     return records, summary
+
+
+# One column per CensusRecord field, in field order; final_inequality_holds
+# is written as final_holds.
+_CSV_HEADER = (
+    "n,d_n,omega_n,bigomega_n,omega_M,bound_prop2,bound_divisors,"
+    "hw_value,lemma6_holds,final_holds,complete"
+)
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def census_csv(records) -> str:
+    """Census records as CSV with the fixed column set, newline-terminated."""
+    lines = [_CSV_HEADER]
+    for r in records:
+        lines.append(",".join(_cell(getattr(r, name)) for name in CensusRecord._fields))
+    return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ import math
 from typing import NamedTuple
 
 from .arith import _prime_like, integer_root, is_perfect_power, mersenne
-from .cyclotomic import divisor_list, mersenne_quotient_residue
+from .cyclotomic import mersenne_quotient_residue
 from .factoring import Budget, Factorization, FactorStats, factor_mersenne, factor_natural
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "SuiteResult",
     "IdentityReport",
     "validate_divisor_form",
+    "index_functions",
     "lower_bound_omega",
     "lower_bound_divisors",
     "classify_index",
@@ -135,57 +136,58 @@ def validate_divisor_form(q: int, p: int) -> DivisorFormCheck:
     return DivisorFormCheck(q, p, l, l_class, l_class in (0, (-p) % 4))
 
 
-def lower_bound_omega(n: int) -> int:
-    """Provable floor for omega(2^n - 1) from the chain/coprime-split
-    argument: Omega(n) when n is a prime power, Omega(n) + 1 when n has
-    at least two distinct prime factors, with the fixed exceptions n = 1,
-    2, 6."""
+def index_functions(n: int) -> tuple[int, int, int]:
+    """(number of divisors, distinct prime factors, prime factors with
+    multiplicity) of n: the one factorization of n that the floors and
+    the shape of n are read from."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return 0
-    if n == 2:
-        return 1
-    if n == 6:
-        return 2
     f = factor_natural(n)
-    if f.omega == 1:
-        return f.bigomega
-    return f.bigomega + 1
+    d = 1
+    for _, e in f.factors:
+        d *= e + 1
+    return d, f.omega, f.bigomega
+
+
+def _floors(n: int, d: int, omega: int, bigomega: int) -> tuple[int, int]:
+    """The two floors on omega(2^n - 1), from d(n), omega(n) and Omega(n).
+
+    The chain/coprime-split floor is Omega(n), plus one when n has at
+    least two distinct prime factors, except at n = 6.  The divisor floor
+    counts one primitive prime for every divisor of n outside {1, 2, 6};
+    the divisor 2 gives back the prime 3, so it is d(n) - 1 - [6 | n].
+    """
+    return bigomega + (omega >= 2 and n != 6), d - 1 - (n % 6 == 0)
+
+
+def lower_bound_omega(n: int) -> int:
+    """Provable floor for omega(2^n - 1) from the chain/coprime-split
+    argument: Omega(n) when n is 1 or a prime power, Omega(n) + 1 when n
+    has at least two distinct prime factors, except 2 at n = 6."""
+    return _floors(n, *index_functions(n))[0]
 
 
 def lower_bound_divisors(n: int) -> int:
     """Divisor-counting floor for omega(2^n - 1): every divisor h of n
     outside {1, 2, 6} contributes a distinct primitive prime, and h = 2
     contributes the prime 3.  Always at least d(n) - 3."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    divisors = divisor_list(n)
-    excluded = len({1, 2, 6} & set(divisors))
-    return len(divisors) - excluded + (1 if n % 2 == 0 else 0)
+    return _floors(n, *index_functions(n))[1]
 
 
 # Indices whose Mersenne number the classification names outright.
 _FIXED_SHAPES = {1: Shape.ONE, 2: Shape.TWO, 4: Shape.SPECIAL4, 6: Shape.SPECIAL6, 8: Shape.SPECIAL8}
 
+# Odd prime powers p^k by k; the powers of 2 up to 8 are fixed shapes.
+_PRIME_POWER_SHAPES = {1: Shape.PRIME, 2: Shape.PRIME_SQUARED, 3: Shape.PRIME_CUBED}
 
-def _shape_of(n: int) -> Shape:
+
+def _shape_of(n: int, omega: int, bigomega: int) -> Shape:
     if n in _FIXED_SHAPES:
         return _FIXED_SHAPES[n]
-    f = factor_natural(n)
-    if f.omega == 1:
-        exponent = f.factors[0][1]
-        # Prime powers of 2 up to 8 are fixed shapes, so the base is odd.
-        if exponent == 1:
-            return Shape.PRIME
-        if exponent == 2:
-            return Shape.PRIME_SQUARED
-        if exponent == 3:
-            return Shape.PRIME_CUBED
-        return Shape.OTHER
-    if f.omega == 2 and f.bigomega == 2:
-        p1 = f.factors[0][0]
-        return Shape.TWO_TIMES_PRIME if p1 == 2 else Shape.TWO_DISTINCT_PRIMES
+    if omega == 1:
+        return _PRIME_POWER_SHAPES.get(bigomega, Shape.OTHER)
+    if omega == 2 and bigomega == 2:
+        return Shape.TWO_TIMES_PRIME if n % 2 == 0 else Shape.TWO_DISTINCT_PRIMES
     return Shape.OTHER
 
 
@@ -215,10 +217,9 @@ _SPECIAL_FACTORS = {4: ((3, 1), (5, 1)), 6: ((3, 2), (7, 1)), 8: ((3, 1), (5, 1)
 def classify_index(n: int) -> CandidateForm:
     """Shape of n, the provable floor on omega(2^n - 1), and the set of
     values in {1, 2, 3, more} that the classification results permit."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    shape = _shape_of(n)
-    min_omega = max(lower_bound_omega(n), lower_bound_divisors(n))
+    d, omega, bigomega = index_functions(n)
+    shape = _shape_of(n, omega, bigomega)
+    min_omega = max(_floors(n, d, omega, bigomega))
     eligible = {k for k, s in _CLAUSES if s is shape and min_omega <= k}
     if n not in _FIXED_SHAPES:
         eligible.add(OMEGA_MORE)
@@ -318,7 +319,7 @@ def verify_structure(n: int, f: Factorization) -> ClassificationReport:
         raise ValueError(f"factorization target is not 2^{n} - 1")
     form = classify_index(n)
     checks: tuple[DivisorFormCheck, ...] = ()
-    if _odd_prime(n):
+    if form.shape is Shape.PRIME:
         checks = tuple(validate_divisor_form(q, n) for q in f.primes())
     clause, holds = _match_clause(n, f, form.shape)
     consistent = (

@@ -29,7 +29,6 @@ from .factoring import Budget, FactorStats, factor_mersenne
 from .storage import (
     CacheError,
     FactorCache,
-    census_csv,
     import_known_factors,
     load_cache,
     report_json,
@@ -126,10 +125,7 @@ def _classification_payload(n: int, f) -> dict:
         "matched_clause": report.matched_clause.value,
         "decomposition": report.decomposition,
         "consistent": report.consistent,
-        "divisor_form_checks": [
-            {"q": c.q, "p": c.p, "l": c.l, "l_class": c.l_class, "passes": c.passes}
-            for c in report.divisor_form_checks
-        ],
+        "divisor_form_checks": [c._asdict() for c in report.divisor_form_checks],
     }
 
 
@@ -162,19 +158,7 @@ def _cmd_verify(args, cache: FactorCache) -> int:
     for s in suites:
         print(_suite_line(s))
     if args.out:
-        payload = {
-            "max_n": args.max,
-            "suites": [
-                {
-                    "name": s.name,
-                    "passed": s.passed,
-                    "failed": s.failed,
-                    "inconclusive": s.inconclusive,
-                    "first_failure": s.first_failure,
-                }
-                for s in suites
-            ],
-        }
+        payload = {"max_n": args.max, "suites": [s._asdict() for s in suites]}
         Path(args.out).write_text(report_json(payload), encoding="utf-8")
     return _exit_code(
         not any(s.inconclusive for s in suites), failed=any(s.failed for s in suites)
@@ -182,7 +166,7 @@ def _cmd_verify(args, cache: FactorCache) -> int:
 
 
 def _cmd_census(args, cache: FactorCache) -> int:
-    from .census import CensusConfig, run_census
+    from .census import CensusConfig, census_csv, run_census
 
     config = CensusConfig(n_min=args.min, n_max=args.max, epsilon=args.epsilon)
     records, summary = run_census(config, cache)

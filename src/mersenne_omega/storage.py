@@ -1,4 +1,4 @@
-"""Persistent factor cache, known-factor ingestion, and report text.
+"""Persistent factor cache, known-factor ingestion, and JSON report text.
 
 Cache file format (single JSON document, UTF-8, trailing newline):
 
@@ -21,8 +21,8 @@ mid-write leaves the old file intact.
 Known-factor import format: text lines "n factor" in decimal, '#' lines
 are comments, blank lines are ignored.
 
-Reports are text: census_csv for census records, report_json for any
-JSON payload.
+report_json writes any JSON payload as text; the census CSV is written
+by census.census_csv, beside the record it reads.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "save_cache",
     "ImportSummary",
     "import_known_factors",
-    "census_csv",
     "report_json",
 ]
 
@@ -299,56 +298,6 @@ def import_known_factors(path, cache: FactorCache) -> ImportSummary:
             cache.add_primes(n, (factor,))
             accepted += 1
     return ImportSummary(lines_total, accepted, tuple(rejected))
-
-
-_CENSUS_COLUMNS = (
-    "n",
-    "d_n",
-    "omega_n",
-    "bigomega_n",
-    "omega_M",
-    "bound_prop2",
-    "bound_divisors",
-    "hw_value",
-    "lemma6_holds",
-    "final_holds",
-    "complete",
-)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def census_csv(records) -> str:
-    """Census records as CSV with the fixed column set, newline-terminated."""
-    lines = [",".join(_CENSUS_COLUMNS)]
-    for r in records:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    r.n,
-                    r.d_n,
-                    r.omega_n,
-                    r.bigomega_n,
-                    r.omega_M,
-                    r.bound_prop2,
-                    r.bound_divisors,
-                    r.hw_value,
-                    r.lemma6_holds,
-                    r.final_inequality_holds,
-                    r.complete,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
 
 
 def report_json(payload) -> str:

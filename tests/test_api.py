@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -47,6 +48,14 @@ def test_cli_loads_and_saves_the_cache_only_in_main():
 def test_trial_sieve_keeps_its_name():
     # perfbench/spans.py traces the cached trial-division sieve under this name.
     assert factoring._sieve_primes(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    # It traces every (module, name) in its TRACED list, so a function that
+    # moves or is renamed fails here rather than in the traced benchmark run.
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, name in spans.TRACED:
+        assert hasattr(importlib.import_module(f"mersenne_omega.{module}"), name), (module, name)
 
 
 def test_work_ledger_keeps_its_binding():

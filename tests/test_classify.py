@@ -3,6 +3,7 @@ import math
 import pytest
 
 from mersenne_omega import (
+    CensusConfig,
     Clause,
     FactorCache,
     Shape,
@@ -11,12 +12,14 @@ from mersenne_omega import (
     lower_bound_divisors,
     lower_bound_omega,
     mersenne,
+    run_census,
     validate_divisor_form,
     verify_identities,
     verify_structure,
     verify_structures_in_range,
 )
-from mersenne_omega.factoring import Budget, Factorization
+from mersenne_omega import census, classify, cyclotomic, factoring
+from mersenne_omega.factoring import Budget, Factorization, factor_natural
 
 
 def test_validate_divisor_form_examples():
@@ -57,6 +60,84 @@ def test_lower_bound_divisors_dominates_simple_count():
     for n in range(1, 201):
         d = len([h for h in range(1, n + 1) if n % h == 0])
         assert lower_bound_divisors(n) >= d - 3
+
+
+def _reference_lower_bound_omega(n: int) -> int:
+    """The chain/coprime-split floor case by case, from a factorization of
+    n: the reference the closed form must match."""
+    if n == 1:
+        return 0
+    if n == 2:
+        return 1
+    if n == 6:
+        return 2
+    f = factor_natural(n)
+    if f.omega == 1:
+        return f.bigomega
+    return f.bigomega + 1
+
+
+def _reference_lower_bound_divisors(n: int) -> int:
+    """The divisor floor by listing the divisors of n."""
+    divisors = [h for h in range(1, n + 1) if n % h == 0]
+    excluded = len({1, 2, 6} & set(divisors))
+    return len(divisors) - excluded + (1 if n % 2 == 0 else 0)
+
+
+def _reference_shape(n: int) -> Shape:
+    """The shape of n read from its prime factors rather than its counts."""
+    fixed = {1: Shape.ONE, 2: Shape.TWO, 4: Shape.SPECIAL4, 6: Shape.SPECIAL6, 8: Shape.SPECIAL8}
+    if n in fixed:
+        return fixed[n]
+    f = factor_natural(n)
+    if f.omega == 1:
+        exponent = f.factors[0][1]
+        return {1: Shape.PRIME, 2: Shape.PRIME_SQUARED, 3: Shape.PRIME_CUBED}.get(exponent, Shape.OTHER)
+    if f.omega == 2 and f.bigomega == 2:
+        return Shape.TWO_TIMES_PRIME if f.factors[0][0] == 2 else Shape.TWO_DISTINCT_PRIMES
+    return Shape.OTHER
+
+
+def test_floors_and_shape_match_the_references():
+    for n in range(1, 5001):
+        assert lower_bound_omega(n) == _reference_lower_bound_omega(n), n
+        assert lower_bound_divisors(n) == _reference_lower_bound_divisors(n), n
+        form = classify_index(n)
+        assert form.shape is _reference_shape(n), n
+        assert form.min_omega == max(_reference_lower_bound_omega(n), _reference_lower_bound_divisors(n)), n
+
+
+@pytest.fixture
+def index_factorizations(monkeypatch):
+    """Record every value any package module passes to factor_natural."""
+    calls = []
+    for module in (factoring, cyclotomic, classify, census):
+        if not hasattr(module, "factor_natural"):
+            continue
+
+        def recording(x, *args, _original=module.factor_natural, **kwargs):
+            calls.append(x)
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(module, "factor_natural", recording)
+    return calls
+
+
+def test_classify_index_factors_its_index_once(index_factorizations):
+    for n in (3, 9, 10, 12, 15, 27, 30, 97, 360):
+        index_factorizations.clear()
+        classify_index(n)
+        assert index_factorizations == [n]
+
+
+def test_census_factors_each_index_once_on_a_warm_cache(index_factorizations):
+    cache = FactorCache()
+    config = CensusConfig(2, 40)
+    run_census(config, cache)
+    index_factorizations.clear()
+    records, _ = run_census(config, cache)
+    assert all(r.complete for r in records)
+    assert index_factorizations == list(range(2, 41))
 
 
 def test_classify_index_shapes():

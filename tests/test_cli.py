@@ -167,6 +167,17 @@ def test_classify_prime_has_divisor_checks(capsys):
     assert all(c["passes"] for c in checks)
 
 
+def test_classify_prime_prints_its_divisor_checks_byte_for_byte(capsys, monkeypatch):
+    # SHA-256 of the stdout, whose check list holds two entries; a prime
+    # index builds no trial table, so it is pinned here, not in SMALL_QUERIES.
+    monkeypatch.delenv("MERSENNE_OMEGA_CACHE", raising=False)
+    code, out, _ = run(capsys, "classify", "11")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cccda77315d601c7d2743bc79ffad716f31e0a4093b01c9b6e166118a967e737"
+    )
+
+
 def test_verify_ok(capsys):
     code, out, _ = run(capsys, "verify", "--max", "24")
     assert code == 0

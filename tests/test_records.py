@@ -5,8 +5,7 @@ import types
 
 import pytest
 
-from mersenne_omega import storage
-from mersenne_omega.census import ASYMPTOTIC_NOTE, CensusConfig, CensusRecord, CensusSummary
+from mersenne_omega.census import ASYMPTOTIC_NOTE, CensusConfig, CensusRecord, CensusSummary, census_csv
 from mersenne_omega.classify import (
     CandidateForm,
     ClassificationReport,
@@ -177,4 +176,4 @@ def test_stats_counters_start_at_zero_and_count():
 def test_census_csv_reads_records_by_name():
     fields = RECORDS[IDS.index("CensusRecord")][1]
     plain = types.SimpleNamespace(**fields)
-    assert storage.census_csv([plain]) == storage.census_csv([CensusRecord(**fields)])
+    assert census_csv([plain]) == census_csv([CensusRecord(**fields)])
