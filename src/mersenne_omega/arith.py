@@ -233,25 +233,21 @@ def _ring_pow(b: int, e: int, d: int) -> int:
     return mod_mersenne(t, d)
 
 
-def _prime_like(x: int, verdicts: dict[int, bool] | None = None, ring: int | None = None) -> bool:
+def _prime_like(x: int, d: int | None = None) -> bool:
     """True unless x is proven composite (a probable prime counts).
 
-    When the caller passes verdicts, the answer for x >= 2^64 is looked up
-    there and recorded after a miss, so one call tests each big value
-    once.  The caller owns the dict and drops it when it returns.
-
-    When ring is d = _ring(x, d), a base-3 Fermat test computed modulo
-    2^d - 1 runs first.  It only ever proves compositeness: an x that
-    passes it still goes to is_probable_prime for the verdict.
+    When x divides 2^d - 1 and _ring(x, d) admits it, a base-3 Fermat test
+    modulo 2^d - 1 runs first.  It only proves compositeness: an x that
+    passes goes on to is_probable_prime for the verdict.
     """
-    if verdicts is not None and x >= _TWO_64:
-        verdict = verdicts.get(x)
-        if verdict is None:
-            verdict = verdicts[x] = _prime_like(x, None, ring)
-        return verdict
+    ring = _ring(x, d)
     if ring is not None and _ring_pow(3, x - 1, ring) % x != 1:
         return False
     return is_probable_prime(x) is not Verdict.COMPOSITE
+
+
+def _odd_prime(x: int) -> bool:
+    return x % 2 == 1 and x > 2 and _prime_like(x)
 
 
 def lucas_lehmer(p: int) -> bool:
@@ -261,7 +257,7 @@ def lucas_lehmer(p: int) -> bool:
     each square back below 2^(p+1) by two folds (see _ring_pow); 2^p - 1
     is prime iff the (p-2)-th term vanishes modulo it.
     """
-    if p < 3 or p % 2 == 0 or not _prime_like(p):
+    if not _odd_prime(p):
         raise ValueError("p must be an odd prime")
     m = mersenne(p)
     s = 4

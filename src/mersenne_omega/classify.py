@@ -16,7 +16,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .arith import _prime_like, integer_root, is_perfect_power, mersenne
+from .arith import _odd_prime, _prime_like, integer_root, is_perfect_power, mersenne
 from .cyclotomic import mersenne_quotient_residue
 from .factoring import Budget, Factorization, FactorStats, factor_mersenne, factor_natural
 
@@ -80,7 +80,7 @@ class CandidateForm(NamedTuple):
     n: int
     shape: Shape
     min_omega: int
-    eligible_omega: frozenset
+    eligible_omega: tuple  # ascending, then OMEGA_MORE: the same repr in every process
 
     def allows(self, omega: int) -> bool:
         if omega <= 3:
@@ -88,10 +88,7 @@ class CandidateForm(NamedTuple):
         return OMEGA_MORE in self.eligible_omega
 
     def eligible_sorted(self) -> list:
-        numbers = sorted(v for v in self.eligible_omega if v != OMEGA_MORE)
-        if OMEGA_MORE in self.eligible_omega:
-            numbers.append(OMEGA_MORE)
-        return numbers
+        return list(self.eligible_omega)
 
 
 class DivisorFormCheck(NamedTuple):
@@ -117,10 +114,6 @@ class ClassificationReport(NamedTuple):
     divisor_form_checks: tuple[DivisorFormCheck, ...]
 
 
-def _odd_prime(n: int) -> bool:
-    return n % 2 == 1 and n > 2 and _prime_like(n)
-
-
 def validate_divisor_form(q: int, p: int) -> DivisorFormCheck:
     """Check the 2*l*p + 1 form of a prime q dividing 2^p - 1, p odd prime.
 
@@ -142,11 +135,12 @@ def index_functions(n: int) -> tuple[int, int, int]:
     the shape of n are read from."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    f = factor_natural(n)
-    d = 1
-    for _, e in f.factors:
-        d *= e + 1
-    return d, f.omega, f.bigomega
+    return _functions_of(factor_natural(n))
+
+
+def _functions_of(f: Factorization) -> tuple[int, int, int]:
+    """index_functions of the number that f factors completely."""
+    return math.prod(e + 1 for _, e in f.factors), f.omega, f.bigomega
 
 
 def _floors(n: int, d: int, omega: int, bigomega: int) -> tuple[int, int]:
@@ -217,13 +211,16 @@ _SPECIAL_FACTORS = {4: ((3, 1), (5, 1)), 6: ((3, 2), (7, 1)), 8: ((3, 1), (5, 1)
 def classify_index(n: int) -> CandidateForm:
     """Shape of n, the provable floor on omega(2^n - 1), and the set of
     values in {1, 2, 3, more} that the classification results permit."""
-    d, omega, bigomega = index_functions(n)
+    return _form(n, *index_functions(n))
+
+
+def _form(n: int, d: int, omega: int, bigomega: int) -> CandidateForm:
     shape = _shape_of(n, omega, bigomega)
     min_omega = max(_floors(n, d, omega, bigomega))
-    eligible = {k for k, s in _CLAUSES if s is shape and min_omega <= k}
+    eligible = sorted(k for k, s in _CLAUSES if s is shape and min_omega <= k)
     if n not in _FIXED_SHAPES:
-        eligible.add(OMEGA_MORE)
-    return CandidateForm(n, shape, min_omega, frozenset(eligible))
+        eligible.append(OMEGA_MORE)
+    return CandidateForm(n, shape, min_omega, tuple(eligible))
 
 
 def _mersenne_index_of(prime: int) -> int | None:
@@ -253,7 +250,7 @@ def _exponent_gcd(f: Factorization) -> int:
     return math.gcd(*(e for _, e in f.factors)) if f.factors else 0
 
 
-def _clause_holds(clause: Clause, n: int, f: Factorization) -> bool:
+def _clause_holds(clause: Clause, n: int, f: Factorization, n_primes: tuple) -> bool:
     """Check the clause-level decomposition of a factorization of 2^n - 1."""
     if clause is Clause.NONE:
         return True
@@ -268,7 +265,7 @@ def _clause_holds(clause: Clause, n: int, f: Factorization) -> bool:
     if clause is Clause.T3_I:
         return f.exponent_of(3) == 1 and f.exponent_of(mersenne(n // 2)) == 1
     if clause is Clause.T3_II:
-        p1, p2 = (p for p, _ in factor_natural(n).factors)
+        p1, p2 = n_primes
         s = f.exponent_of(mersenne(p1))
         t = f.exponent_of(mersenne(p2))
         ok = s >= 1 and t >= 1 and _exponent_gcd(f) == 1
@@ -292,13 +289,13 @@ def _clause_holds(clause: Clause, n: int, f: Factorization) -> bool:
     return f.exponent_of(mp) == 1 and math.gcd(*outer) == 1
 
 
-def _match_clause(n: int, f: Factorization, shape: Shape) -> tuple[Clause, bool]:
+def _match_clause(n: int, f: Factorization, shape: Shape, n_primes: tuple) -> tuple[Clause, bool]:
     """Pick the clause (omega, shape) falls under and check it.  Returns
     (clause, holds); the classification says nothing about omega > 3."""
     clause = _CLAUSES.get((f.omega, shape))
     if clause is None:
         return Clause.NONE, f.omega > 3
-    holds = _clause_holds(clause, n, f)
+    holds = _clause_holds(clause, n, f, n_primes)
     if clause is Clause.T1 and not holds:
         return Clause.NONE, False
     return clause, holds
@@ -317,11 +314,12 @@ def verify_structure(n: int, f: Factorization) -> ClassificationReport:
         raise ValueError("complete factorization required")
     if f.target != mersenne(n):
         raise ValueError(f"factorization target is not 2^{n} - 1")
-    form = classify_index(n)
+    n_factors = factor_natural(n)
+    form = _form(n, *_functions_of(n_factors))
     checks: tuple[DivisorFormCheck, ...] = ()
     if form.shape is Shape.PRIME:
         checks = tuple(validate_divisor_form(q, n) for q in f.primes())
-    clause, holds = _match_clause(n, f, form.shape)
+    clause, holds = _match_clause(n, f, form.shape, n_factors.primes())
     consistent = (
         holds
         and form.allows(f.omega)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import _prime_like, mersenne
+from .arith import _odd_prime, mersenne
 from .factoring import Factorization, factor_natural
 
 __all__ = [
@@ -86,7 +86,7 @@ def multiplicative_order_of_two(q: int) -> int:
     Each prime of q - 1 is divided out of e = q - 1 while 2^e stays 1
     (mod q).  A divisor of 2^n - 1 is primitive exactly when its order is n.
     """
-    if q < 3 or q % 2 == 0 or not _prime_like(q):
+    if not _odd_prime(q):
         raise ValueError("q must be an odd prime")
     e = q - 1
     f = factor_natural(e)
@@ -112,7 +112,7 @@ def primitive_prime_divisors(n: int, f: Factorization) -> PrimitiveReport:
         raise ValueError("complete factorization required")
     if f.target != mersenne(n):
         raise ValueError(f"factorization target is not 2^{n} - 1")
-    if any(q < 3 or q % 2 == 0 or not _prime_like(q) for q in f.primes()):
+    if not all(map(_odd_prime, f.primes())):
         raise ValueError("q must be an odd prime")
     if not f.reconstructs():
         raise ValueError(f"factorization does not rebuild 2^{n} - 1")

@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .arith import _prime_like, _primes_up_to, _ring, _sieve, is_perfect_power, lucas_lehmer, mersenne
+from .arith import _odd_prime, _prime_like, _primes_up_to, _ring, _sieve, is_perfect_power, lucas_lehmer, mersenne
 
 if TYPE_CHECKING:
     from .storage import FactorCache
@@ -336,18 +336,16 @@ def _factor_with_rho(
     stats: FactorStats,
     ceiling: int,
     counts: Counter,
-    verdicts: dict[int, bool],
     d: int | None = None,
     bound: int = 0,
 ) -> int:
-    """Fully factor value (1, a prime, a perfect power or a composite)
-    into counts.
+    """Fully factor value, a composite the caller has tested, into counts.
 
     Returns the product of whatever composite pieces remain when
-    stats.rho_iterations reaches ceiling (1 when none).  verdicts is the
-    calling entry point's primality memo (see _prime_like).  When value
-    divides 2^d - 1, each piece that arith._ring admits is tested and
-    split in that ring.
+    stats.rho_iterations reaches ceiling (1 when none).  The stack holds
+    only composites: each piece a split or a perfect power yields is
+    tested once, when it is made.  When value divides 2^d - 1, each piece
+    that arith._ring admits is tested and split in that ring.
 
     Given d, a composite piece whose budget left covers 2C (C =
     _pm1_cost(bound)) gets rho seed 1 for at most C iterations, then if
@@ -357,33 +355,32 @@ def _factor_with_rho(
     stack = [(value, 1)]
     while stack:
         v, multiplicity = stack.pop()
-        if v == 1:
-            continue
-        ring = _ring(v, d)
-        if _prime_like(v, verdicts, ring):
-            counts[v] += multiplicity
-            continue
         power = is_perfect_power(v)
         if power is not None:
             b, k = power
-            stack.append((b, multiplicity * k))
-            continue
-        divisor, seed = None, 1
-        left = ceiling - stats.rho_iterations  # C > _PM1_B1: small budgets never build C
-        if d is not None and left > 2 * _PM1_B1 and left >= 2 * (cost := _pm1_cost(bound)):
-            divisor = _rho_brent(v, 1, stats, stats.rho_iterations + cost, ring)
+            pieces = [(b, multiplicity * k)]
+        else:
+            ring = _ring(v, d)
+            divisor, seed = None, 1
+            left = ceiling - stats.rho_iterations  # C > _PM1_B1: small budgets never build C
+            if d is not None and left > 2 * _PM1_B1 and left >= 2 * (cost := _pm1_cost(bound)):
+                divisor = _rho_brent(v, 1, stats, stats.rho_iterations + cost, ring)
+                if divisor is None:
+                    divisor = _pm1(v, d, bound)
+                    stats.rho_iterations += cost
+                seed = 2
+            while divisor is None and stats.rho_iterations < ceiling:
+                divisor = _rho_brent(v, seed, stats, ceiling, ring)
+                seed += 1
             if divisor is None:
-                divisor = _pm1(v, d, bound)
-                stats.rho_iterations += cost
-            seed = 2
-        while divisor is None and stats.rho_iterations < ceiling:
-            divisor = _rho_brent(v, seed, stats, ceiling, ring)
-            seed += 1
-        if divisor is None:
-            leftover *= v**multiplicity
-            continue
-        stack.append((divisor, multiplicity))
-        stack.append((v // divisor, multiplicity))
+                leftover *= v**multiplicity
+                continue
+            pieces = [(divisor, multiplicity), (v // divisor, multiplicity)]
+        for piece, m in pieces:
+            if _prime_like(piece, d):
+                counts[piece] += m
+            else:
+                stack.append((piece, m))
     return leftover
 
 
@@ -400,8 +397,7 @@ def factor_natural(
     stats = stats or FactorStats()
     if x == 1:
         return Factorization(1, ())
-    verdicts: dict[int, bool] = {}
-    if _prime_like(x, verdicts):
+    if _prime_like(x):
         return Factorization(x, ((x, 1),))
     counts: Counter = Counter()
     remaining = x
@@ -411,19 +407,17 @@ def factor_natural(
             counts[remaining] += 1
             break
         if remaining % p == 0:
-            e = 0
             while remaining % p == 0:
                 remaining //= p
-                e += 1
-            counts[p] += e
+                counts[p] += 1
             if remaining == 1:
                 break
-            if _prime_like(remaining, verdicts):
+            if _prime_like(remaining):
                 counts[remaining] += 1
                 break
     else:
         ceiling = stats.rho_iterations + budget.rho_iterations_max
-        cofactor = _factor_with_rho(remaining, stats, ceiling, counts, verdicts)
+        cofactor = _factor_with_rho(remaining, stats, ceiling, counts)
     return Factorization(x, tuple(sorted(counts.items())), cofactor)
 
 
@@ -443,7 +437,7 @@ def trial_divide_congruence(
     if target % 2 == 0:
         raise ValueError("target must be odd")
     stats = stats or FactorStats()
-    if d % 2 == 1 and _prime_like(d):
+    if _odd_prime(d):
         step, starts = 8 * d, (8 * d + 1, 2 * d * (3 * d % 4) + 1)
     else:
         step, starts = 2 * d, (2 * d + 1,)
@@ -494,14 +488,11 @@ def factor_mersenne(
     and a prime one pays for no more of the scan than for Lucas-Lehmer.
     Under the default budget the first stretch is the whole scan once
     n >= 1000.
-    Every other primality question goes to _prime_like, with one memo per
-    call that also holds a composite Lucas-Lehmer verdict, so no value of
-    2^64 or more reaches is_probable_prime twice and a composite 2^n - 1
-    never reaches it.
-    The composite leftover goes into that memo too, and the memo goes to
-    the cache, so the cache does not test the leftover again.  Each part's
-    d goes down to rho: values of a part with d >= 256 are tested and
-    split in the ring Z/(2^d - 1) (see arith._ring).
+    Every other value is tested once, where it is made: a part before the
+    scan, and again only if the scan shrank it; a part the scan leaves as
+    it was is composite by that test or by lucas_lehmer.  The cache is
+    told the leftover is composite.  Values of a part with d >= 256 are
+    tested and split in the ring Z/(2^d - 1) (see arith._ring).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -522,7 +513,6 @@ def factor_mersenne(
     leftover = 1
     ceiling = stats.rho_iterations + budget.rho_iterations_max
     bound = budget.trial_division_bound
-    verdicts: dict[int, bool] = {}
     parts = cyclotomic_split(n)
     # One part exactly when n is prime (the parts are the divisors d >= 2).
     mersenne_exponent = n > 2 and len(parts) == 1
@@ -539,7 +529,7 @@ def factor_mersenne(
         if v == 1:
             continue
         whole = mersenne_exponent and v == part.value
-        if not whole and _prime_like(v, verdicts, _ring(v, part.d)):
+        if not whole and _prime_like(v, part.d):
             counts[v] += 1
             continue
         limit = min(bound, v)
@@ -547,22 +537,20 @@ def factor_mersenne(
         # has squarings: the whole 2^n - 1 is scanned that far first.
         first = min(limit, 2 * n * n) if whole else limit
         found = trial_divide_congruence(v, part.d, first, stats)
-        if whole and not found:
-            if lucas_lehmer(n):
-                counts[v] += 1
-                continue
-            verdicts[v] = False
+        if whole and not found and lucas_lehmer(n):
+            counts[v] += 1
+            continue
         if first < limit:
             found = trial_divide_congruence(v, part.d, limit, stats)
         for q in found:
             while v % q == 0:
                 v //= q
                 counts[q] += 1
-        leftover *= _factor_with_rho(v, stats, ceiling, counts, verdicts, part.d, bound)
-    if leftover > 1:
-        # A product of composite pieces: the cache need not test it again.
-        verdicts[leftover] = False
+        if v > 1 and found and _prime_like(v, part.d):
+            counts[v] += 1
+        elif v > 1:
+            leftover *= _factor_with_rho(v, stats, ceiling, counts, part.d, bound)
     result = Factorization(mersenne(n), tuple(sorted(counts.items())), leftover)
     if cache is not None:
-        result = cache.add_primes(n, result.primes(), verdicts)
+        result = cache.add_primes(n, result.primes(), leftover)
     return result

@@ -132,20 +132,22 @@ class FactorCache:
     def indices(self) -> list[int]:
         return sorted(self._entries)
 
-    def add_primes(self, n: int, primes, verdicts: dict[int, bool] | None = None) -> Factorization:
+    def add_primes(self, n: int, primes, composite: int = 1) -> Factorization:
         """Fold newly learned prime divisors of 2^n - 1 into the entry.
 
         A prime whose cofactor turns out prime itself completes the
-        entry.  Claimed primes that do not divide 2^n - 1 are dropped.
-        verdicts is the caller's primality memo (see arith._prime_like),
-        so a cofactor the caller already tested is not tested again.
+        entry.  Claimed primes below 2 or that do not divide 2^n - 1 are
+        dropped.  composite is a value the caller knows is composite, so
+        a cofactor equal to it is not tested again.
         """
+        if n < 1:
+            raise ValueError("n must be >= 1")
         with self._lock:
             self._verify((n,))
             target = mersenne(n)
             existing = self._entries.get(n)
             known = set(existing.primes()) if existing is not None else set()
-            known.update(primes)
+            known.update(p for p in primes if p >= 2)
             factors = []
             cofactor = target
             for p in sorted(known):
@@ -155,7 +157,7 @@ class FactorCache:
                     e += 1
                 if e:
                     factors.append((p, e))
-            if cofactor > 1 and _prime_like(cofactor, verdicts):
+            if cofactor > 1 and cofactor != composite and _prime_like(cofactor):
                 factors.append((cofactor, 1))
                 factors.sort()
                 cofactor = 1

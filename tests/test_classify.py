@@ -130,6 +130,15 @@ def test_classify_index_factors_its_index_once(index_factorizations):
         assert index_factorizations == [n]
 
 
+@pytest.mark.parametrize("n", [21, 33, 35, 39, 55])
+def test_verify_structure_factors_its_index_once(index_factorizations, n):
+    # n = p1 * p2: clause T3_ii reads p1 and p2 from that one factorization.
+    f = factor_mersenne(n)
+    index_factorizations.clear()
+    verify_structure(n, f)
+    assert index_factorizations == [n]
+
+
 def test_census_factors_each_index_once_on_a_warm_cache(index_factorizations):
     cache = FactorCache()
     config = CensusConfig(2, 40)

@@ -433,6 +433,36 @@ def test_stdout_is_stable_across_runs(capsys):
     assert out1 == out2
 
 
+# Identical inputs give identical bytes in every process: neither the
+# records' repr nor any command's stdout may follow the string-hash seed.
+HASH_SEED_PROBES = [
+    (
+        "-c",
+        "import hashlib; from mersenne_omega.classify import classify_index; "
+        "print(hashlib.sha256(repr([classify_index(n) for n in range(1, 400)]).encode()).hexdigest())",
+    ),
+    ("-m", "mersenne_omega.cli", "classify", "7"),
+    ("-m", "mersenne_omega.cli", "classify", "12"),
+    ("-m", "mersenne_omega.cli", "census", "--min", "2", "--max", "30"),
+    ("-m", "mersenne_omega.cli", "verify", "--max", "20"),
+]
+
+
+@pytest.mark.parametrize("args", HASH_SEED_PROBES, ids=["repr", "classify-7", "classify-12", "census", "verify"])
+def test_output_does_not_follow_the_hash_seed(tmp_path, args):
+    env = dict(os.environ, PYTHONPATH=str(Path(mersenne_omega.__file__).parents[1]))
+    env.pop("MERSENNE_OMEGA_CACHE", None)
+    outputs = []
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, *args],
+            cwd=tmp_path, env=dict(env, PYTHONHASHSEED=seed), capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 # SHA-256 of each command's stdout.  The size of the trial-division
 # table must not change what is printed.
 SMALL_QUERIES = {

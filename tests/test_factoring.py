@@ -466,6 +466,17 @@ def test_factor_mersenne_tests_each_big_value_once(monkeypatch, n):
     assert all(k == 1 for x, k in tested.items() if x >= 1 << 64)
 
 
+def test_factor_natural_tests_each_big_value_once(monkeypatch):
+    # Trial division strips 3 and 5 and tests what is left; rho then splits
+    # that composite into 10000019 and 2^89 - 1, each tested when it is made.
+    tested = _count_calls(monkeypatch, arith, "is_probable_prime")
+    x = 3 * 5 * 10000019 * mersenne(89)
+    f = factor_natural(x)
+    assert f.factors == ((3, 1), (5, 1), (10000019, 1), (mersenne(89), 1)) and f.complete
+    big = {v: k for v, k in tested.items() if v >= 1 << 64}
+    assert big and all(k == 1 for k in big.values())
+
+
 @pytest.mark.parametrize("n", [1050, 2003])
 def test_cache_does_not_retest_what_the_call_tested(monkeypatch, n):
     tested = _count_calls(monkeypatch, arith, "is_probable_prime")

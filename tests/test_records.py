@@ -28,7 +28,7 @@ RECORDS = [
     (Factorization, dict(target=2047, factors=((23, 1),), cofactor=89)),
     (CyclotomicPart, dict(d=6, value=3, intrinsic=3)),
     (PrimitiveReport, dict(n=11, primitive_primes=(23, 89), primitive_part=2047)),
-    (CandidateForm, dict(n=9, shape=Shape.PRIME_SQUARED, min_omega=2, eligible_omega=frozenset({2, 3}))),
+    (CandidateForm, dict(n=9, shape=Shape.PRIME_SQUARED, min_omega=2, eligible_omega=(2, 3))),
     (DivisorFormCheck, dict(q=23, p=11, l=1, l_class=1, passes=True)),
     (
         ClassificationReport,
@@ -129,7 +129,7 @@ def test_record_properties_and_methods():
     assert (f.complete, f.status, f.omega, f.bigomega) == (False, "partial", 1, 1)
     assert (f.primes(), f.exponent_of(23), f.exponent_of(89)) == ((23,), 1, 0)
     assert f.product() == 2047 and f.reconstructs()
-    form = CandidateForm(9, Shape.PRIME_SQUARED, 2, frozenset({2, 3, "more"}))
+    form = CandidateForm(9, Shape.PRIME_SQUARED, 2, (2, 3, "more"))
     assert form.allows(3) and form.allows(5) and not form.allows(1)
     assert form.eligible_sorted() == [2, 3, "more"]
     assert SUITE.ok and not SuiteResult("s", 1, 1).ok

@@ -1,4 +1,5 @@
 import json
+import signal
 import time
 from pathlib import Path
 
@@ -257,6 +258,35 @@ def test_merge_drops_non_divisors():
     cache = FactorCache()
     entry = cache.add_primes(11, (10, 23))
     assert entry.primes() == (23, 89)
+
+
+@pytest.fixture
+def deadline():
+    """Turn a hang into a failure: TimeoutError after 10 seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError("no return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_merge_drops_claimed_primes_below_two(deadline):
+    # 1 and -1 divide everything, so dividing them out would never end.
+    cache = FactorCache()
+    assert cache.add_primes(11, (1,)) == Factorization(2047, (), 2047)
+    assert cache.add_primes(11, (-1, 23)).factors == ((23, 1), (89, 1))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_merge_refuses_an_index_below_one(deadline, n):
+    cache = FactorCache()
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        cache.add_primes(n, (3,))
+    assert len(cache) == 0 and not cache.changed
 
 
 def test_concurrent_merges_are_consistent():
