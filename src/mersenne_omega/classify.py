@@ -122,6 +122,11 @@ def validate_divisor_form(q: int, p: int) -> DivisorFormCheck:
     """
     if not _odd_prime(p):
         raise ValueError("p must be an odd prime")
+    return _divisor_form(q, p)
+
+
+def _divisor_form(q: int, p: int) -> DivisorFormCheck:
+    """validate_divisor_form for a p already known to be an odd prime."""
     if (q - 1) % (2 * p):
         raise ValueError(f"{q} is not of the form 2*l*{p} + 1")
     l = (q - 1) // (2 * p)
@@ -318,7 +323,7 @@ def verify_structure(n: int, f: Factorization) -> ClassificationReport:
     form = _form(n, *_functions_of(n_factors))
     checks: tuple[DivisorFormCheck, ...] = ()
     if form.shape is Shape.PRIME:
-        checks = tuple(validate_divisor_form(q, n) for q in f.primes())
+        checks = tuple(_divisor_form(q, n) for q in f.primes())
     clause, holds = _match_clause(n, f, form.shape, n_factors.primes())
     consistent = (
         holds

@@ -216,7 +216,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("factor", help="factor 2^n - 1")
     p.add_argument("n", type=int)
-    p.add_argument("--budget-rho", type=int, help="total budget of rho iterations plus p-1 work units")
+    p.add_argument("--budget-rho", type=int, help="total budget of rho iterations plus p-1 and ECM work units")
     p.add_argument("--stats", action="store_true", help="work counters to stderr")
     common(p)
     p.set_defaults(func=_cmd_factor)

@@ -1,13 +1,16 @@
-"""Budgeted integer factorization: trial division, Brent-cycle rho, and a
-pipeline for 2^n - 1 that pre-splits along the divisors of n.
+"""Budgeted integer factorization: trial division, Brent-cycle rho,
+Pollard p-1, ECM, and a pipeline for 2^n - 1 that pre-splits along the
+divisors of n.
 
 All routines are deterministic: rho seeds follow the fixed schedule
-c = 1, 2, 3, ... and there is no wall-clock dependence.
+c = 1, 2, 3, ..., ECM curves sigma = 6, 7, 8, ..., and there is no
+wall-clock dependence.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
@@ -44,9 +47,10 @@ class Budget(_BudgetFields):
 
     rho_iterations_max bounds the total number of iteration-function
     evaluations across all rho invocations triggered by the call plus its
-    p-1 work units (see _pm1_cost).  trial_division_bound caps the prime
-    table factor_natural trial-divides by (below the cap it is sized to
-    sqrt(x), so small values never build it in full) and is p-1's B2.
+    p-1 and ECM work units (see _pm1_cost and _ecm_cost).
+    trial_division_bound caps the prime table factor_natural trial-divides
+    by (below the cap it is sized to sqrt(x), so small values never build
+    it in full) and is the B2 of p-1 and of ECM.
     """
 
     __slots__ = ()
@@ -133,9 +137,9 @@ class Factorization(_FactorizationFields):
 class FactorStats:
     """Work counters, accumulated across calls when reused.
 
-    rho_iterations counts rho iterations and p-1 work units, and is the
-    rho ledger: each top-level call caps it at its value on entry plus
-    the budget's rho_iterations_max, so one object must not serve two
+    rho_iterations counts rho iterations plus p-1 and ECM work units, and
+    is the rho ledger: each top-level call caps it at its value on entry
+    plus the budget's rho_iterations_max, so one object must not serve two
     concurrent calls.  __slots__ lists the counters in their fixed order.
     """
 
@@ -280,26 +284,27 @@ def _segments(lo: int, hi: int) -> Iterator[list[int]]:
         yield _sieve(a, min(a + (1 << 14), hi))
 
 
-def _prime_powers() -> Iterator[int]:
-    """The largest power of each prime p <= _PM1_B1 that is <= _PM1_B1."""
-    for primes in _segments(1, _PM1_B1):
+def _prime_powers(b1: int) -> Iterator[int]:
+    """The largest power of each prime p <= b1 that is <= b1."""
+    for primes in _segments(1, b1):
         for p in primes:
             q = p
-            while q * p <= _PM1_B1:
+            while q * p <= b1:
                 q *= p
             yield q
 
 
 @functools.cache
-def _pm1_exponent() -> int:
-    return math.prod(_prime_powers())
+def _exponent(b1: int) -> int:
+    """The stage-1 exponent of p-1 and ECM: the product of _prime_powers(b1)."""
+    return math.prod(_prime_powers(b1))
 
 
 @functools.cache
 def _pm1_cost(bound: int) -> int:
     """C, the work units a _pm1 run with B2 = bound charges: the stage-1
     exponent's bits plus the stage-2 primes, 236,840 at the default bound."""
-    return _pm1_exponent().bit_length() + sum(map(len, _segments(_PM1_B1, bound)))
+    return _exponent(_PM1_B1).bit_length() + sum(map(len, _segments(_PM1_B1, bound)))
 
 
 def _pm1(v: int, d: int, bound: int) -> int | None:
@@ -307,11 +312,11 @@ def _pm1(v: int, d: int, bound: int) -> int | None:
     proper divisor of v, or None.  Stage 2 steps from prime to prime by
     their gaps and takes a gcd once per segment.  A gcd of v is retraced
     one prime power or prime at a time, so no divisor is lost."""
-    a = pow(3, 2 * d * _pm1_exponent(), v)
+    a = pow(3, 2 * d * _exponent(_PM1_B1), v)
     g = math.gcd(a - 1, v)
     if g == v:
         b = pow(3, 2 * d, v)
-        g = next((h for q in _prime_powers() if (h := math.gcd((b := pow(b, q, v)) - 1, v)) > 1))
+        g = next((h for q in _prime_powers(_PM1_B1) if (h := math.gcd((b := pow(b, q, v)) - 1, v)) > 1))
     if g > 1:
         return g if g < v else None
     steps: dict[int, int] = {}
@@ -329,6 +334,120 @@ def _pm1(v: int, d: int, bound: int) -> int | None:
         if g > 1:
             return g if g < v else None
     return None
+
+
+# ECM (Lenstra 1987) on Montgomery curves B y^2 = x^3 + A x^2 + x in x-only
+# projective coordinates (X : Z), with Suyama's parametrization (Montgomery
+# 1987).  Stage 1 multiplies by _exponent(_ECM_B1), B1 at the GMP-ECM level
+# for 20-digit factors; stage 2 covers each prime q in (B1, B2] as
+# q = m*D +- j, with giant steps m*D*Q and baby steps j*Q, 0 < j < D/2.
+_ECM_B1 = 11_000
+_ECM_D = 2310
+_ECM_BABIES = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
+
+
+def _xdbl(p: tuple[int, int], a24: int, v: int) -> tuple[int, int]:
+    """2p, where a24 = (A + 2)/4."""
+    x, z = p
+    s, t = (x + z) ** 2 % v, (x - z) ** 2 % v
+    u = s - t
+    return s * t % v, u * (t + a24 * u) % v
+
+
+def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], v: int) -> tuple[int, int]:
+    """p + q, given diff = p - q."""
+    s = (p[0] - p[1]) * (q[0] + q[1])
+    t = (p[0] + p[1]) * (q[0] - q[1])
+    return diff[1] * (s + t) ** 2 % v, diff[0] * (s - t) ** 2 % v
+
+
+def _ladder(p: tuple[int, int], k: int, a24: int, v: int) -> tuple[int, int]:
+    """k * p, k >= 1, by Montgomery's ladder: r1 - r0 = p throughout.
+
+    Stage 1 spends most of a curve here, so the step inlines _xadd and
+    _xdbl (13% less time than calling them on M_137, CPython 3.11); on a
+    1 bit it swaps r0 and r1 around the step, so r0 is always doubled."""
+    xp, zp = p
+    (x0, z0), (x1, z1) = p, _xdbl(p, a24, v)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            x0, z0, x1, z1 = x1, z1, x0, z0
+        s = (x0 - z0) * (x1 + z1)
+        t = (x0 + z0) * (x1 - z1)
+        x1, z1 = zp * (s + t) ** 2 % v, xp * (s - t) ** 2 % v
+        s, t = (x0 + z0) ** 2 % v, (x0 - z0) ** 2 % v
+        u = s - t
+        x0, z0 = s * t % v, u * (t + a24 * u) % v
+        if bit == "1":
+            x0, z0, x1, z1 = x1, z1, x0, z0
+    return x0, z0
+
+
+@functools.cache
+def _ecm_plan(bound: int) -> tuple[int, list[bytes]]:
+    """Stage 2 up to B2 = bound: the first giant step lo, and for each
+    m = lo, lo + 1, ... the bytes of the indices into _ECM_BABIES of the j
+    with m*D + j or m*D - j a prime in (_ECM_B1, bound]."""
+    index = {j: i for i, j in enumerate(_ECM_BABIES)}
+    half, width = _ECM_D // 2, len(_ECM_BABIES)
+    lo, hi = (_ECM_B1 + half) // _ECM_D, (bound + half) // _ECM_D
+    flags = bytearray(width * max(0, hi - lo + 1))
+    for primes in _segments(_ECM_B1, bound):
+        for q in primes:
+            m = (q + half) // _ECM_D
+            flags[(m - lo) * width + index[abs(q - m * _ECM_D)]] = 1
+    starts = range(0, len(flags), width)
+    return lo, [bytes(itertools.compress(range(width), flags[i : i + width])) for i in starts]
+
+
+@functools.cache
+def _ecm_cost(bound: int) -> int:
+    """The work units one _ecm curve with B2 = bound charges: the stage-1
+    exponent's bits plus the stage-2 terms, 137,225 at the default bound."""
+    return _exponent(_ECM_B1).bit_length() + sum(map(len, _ecm_plan(bound)[1]))
+
+
+def _ecm(v: int, sigma: int, bound: int) -> int | None:
+    """One ECM curve, Suyama's sigma, with B2 = bound on an odd composite
+    v: a proper divisor of v, or None.  Stage 2 brings every baby and giant
+    step to Z = 1 by one batched inversion, which leaves one product per
+    (m, j) term.  A gcd of 1 or of v finds nothing."""
+    u, w = sigma * sigma - 5, 4 * sigma
+    g = math.gcd(u * w, v)
+    if g == 1:
+        a24 = (w - u) ** 3 * (3 * u + w) * pow(16 * u**3 * w, -1, v) % v
+        q = _ladder((u**3 * pow(w**3, -1, v) % v, 1), _exponent(_ECM_B1), a24, v)
+        g = math.gcd(q[1], v)
+    if g == 1:
+        lo, rows = _ecm_plan(bound)
+        points, q2 = [], _xdbl(q, a24, v)
+        prev, cur = q, _xadd(q2, q, q, v)  # j*Q and (j + 2)*Q
+        for j in range(1, _ECM_D // 2, 2):
+            if math.gcd(j, _ECM_D) == 1:  # j in _ECM_BABIES
+                points.append(prev)
+            prev, cur = cur, _xadd(cur, q2, prev, v)
+        step = _ladder(q, _ECM_D, a24, v)
+        prev, cur = step, _xdbl(step, a24, v)  # m*D*Q and (m + 1)*D*Q
+        for m in range(1, lo + len(rows)):
+            if m >= lo:
+                points.append(prev)
+            prev, cur = cur, _xadd(cur, step, prev, v)
+        prefix = [1]
+        for _, z in points:
+            prefix.append(prefix[-1] * z % v)
+        g = math.gcd(prefix[-1], v)
+    if g == 1:
+        inverse = pow(prefix[-1], -1, v)
+        for i in range(len(points) - 1, -1, -1):  # each point becomes X/Z
+            x, z = points[i]
+            points[i] = x * prefix[i] % v * inverse % v
+            inverse = inverse * z % v
+        acc = 1
+        for x, row in zip(points[len(_ECM_BABIES) :], rows):
+            for i in row:
+                acc = acc * (x - points[i]) % v
+        g = math.gcd(acc, v)
+    return g if 1 < g < v else None
 
 
 def _factor_with_rho(
@@ -349,7 +468,9 @@ def _factor_with_rho(
 
     Given d, a composite piece whose budget left covers 2C (C =
     _pm1_cost(bound)) gets rho seed 1 for at most C iterations, then if
-    need be _pm1, charged C, before seeds 2, 3, ...
+    need be _pm1, charged C, then ECM curves sigma = 6, 7, ..., each
+    charged _ecm_cost(bound), while the budget left covers one, before
+    rho seeds 2, 3, ... take what is left.
     """
     leftover = 1
     stack = [(value, 1)]
@@ -368,6 +489,11 @@ def _factor_with_rho(
                 if divisor is None:
                     divisor = _pm1(v, d, bound)
                     stats.rho_iterations += cost
+                sigma = 6
+                while divisor is None and ceiling - stats.rho_iterations >= (cost := _ecm_cost(bound)):
+                    divisor = _ecm(v, sigma, bound)
+                    stats.rho_iterations += cost
+                    sigma += 1
                 seed = 2
             while divisor is None and stats.rho_iterations < ceiling:
                 divisor = _rho_brent(v, seed, stats, ceiling, ring)
@@ -472,8 +598,8 @@ def factor_mersenne(
     with d >= 2 (their product is the whole number); (3) strip each
     part's intrinsic prime and any primes already known from a partial
     cache entry, then run the 2*d*l + 1 congruence scan; (4) hand what
-    survives to rho and Pollard p-1 (see _factor_with_rho), which also
-    settles primes and perfect powers.
+    survives to rho, Pollard p-1 and ECM (see _factor_with_rho), which
+    also settles primes and perfect powers.
     Results are merged across parts, sorted, and written back to the
     cache.  On budget exhaustion the composite remainder is reported in
     cofactor and status is partial.

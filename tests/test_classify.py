@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,7 @@ from mersenne_omega import (
     verify_structure,
     verify_structures_in_range,
 )
-from mersenne_omega import census, classify, cyclotomic, factoring
+from mersenne_omega import arith, census, classify, cyclotomic, factoring
 from mersenne_omega.factoring import Budget, Factorization, factor_natural
 
 
@@ -137,6 +138,23 @@ def test_verify_structure_factors_its_index_once(index_factorizations, n):
     index_factorizations.clear()
     verify_structure(n, f)
     assert index_factorizations == [n]
+
+
+@pytest.mark.parametrize("n", [67, 59])
+def test_verify_structure_tests_a_prime_index_once(monkeypatch, n):
+    # The shape already says n is prime: the divisor-form checks do not
+    # test it again for each listed prime.
+    f = factor_mersenne(n)
+    tested = Counter()
+    original = arith.is_probable_prime
+
+    def counting(x):
+        tested[x] += 1
+        return original(x)
+
+    monkeypatch.setattr(arith, "is_probable_prime", counting)
+    verify_structure(n, f)
+    assert tested == {n: 1}
 
 
 def test_census_factors_each_index_once_on_a_warm_cache(index_factorizations):

@@ -299,15 +299,31 @@ def test_reused_stats_give_each_call_its_own_budget():
 SWEEP_BUDGET = Budget(rho_iterations_max=1 << 22)
 
 # Published factorizations of 2^n - 1 whose pieces rho leaves partial, or
-# splits only late, at a 2^22 budget; p-1 finds a prime q with
+# splits only late, at a 2^22 budget.  p-1 finds a prime q with
 # (q - 1)/2n smooth: 44029 * 278557 (times 3) for 7432339208719 | M_101,
-# 3^2 * 13 * 37 * 53 * 193 * 457 for 5625767248687 | M_139.
+# 3^2 * 13 * 37 * 53 * 193 * 457 for 5625767248687 | M_139.  ECM finds the
+# 20-digit primes of M_137 and M_149, which neither rho nor p-1 reaches.
 PUBLISHED = {
     101: ((7432339208719, 1), (341117531003194129, 1)),
     125: ((31, 1), (601, 1), (1801, 1), (269089806001, 1), (4710883168879506001, 1)),
+    137: ((32032215596496435569, 1), (5439042183600204290159, 1)),
     139: ((5625767248687, 1), (123876132205208335762278423601, 1)),
+    149: ((86656268566282183151, 1), (8235109336690846723986161, 1)),
     157: ((852133201, 1), (60726444167, 1), (1654058017289, 1), (2134387368610417, 1)),
 }
+
+
+@pytest.fixture(scope="module")
+def published_runs():
+    """Two runs of factor_mersenne(n, SWEEP_BUDGET) per published n, with
+    their stats; made once per module, as M_137 and M_149 take seconds."""
+    runs = {}
+    for n in PUBLISHED:
+        runs[n] = []
+        for _ in range(2):
+            stats = FactorStats()
+            runs[n].append((factor_mersenne(n, SWEEP_BUDGET, stats=stats), stats))
+    return runs
 
 
 def test_pm1_stage_one_splits_m139():
@@ -335,23 +351,30 @@ def test_pm1_raises_base_three(monkeypatch):
 
 
 @pytest.mark.parametrize("n", sorted(PUBLISHED))
-def test_pm1_completes_published_factorizations(n):
-    runs = []
-    for _ in range(2):
-        stats = FactorStats()
-        runs.append((factor_mersenne(n, SWEEP_BUDGET, stats=stats), stats))
+def test_pm1_completes_published_factorizations(published_runs, n):
+    runs = published_runs[n]
     assert runs[0] == runs[1]
     f, stats = runs[0]
     assert f.complete and f.factors == PUBLISHED[n] and f.reconstructs()
     assert stats.rho_iterations <= SWEEP_BUDGET.rho_iterations_max
 
 
+def test_ecm_charges_each_curve_up_to_the_one_that_splits(published_runs):
+    # Rho seed 1 and p-1 take 473,638 units, then ECM finds the smaller
+    # prime on curve sigma = 23 of M_137 and sigma = 25 of M_149.
+    cost = factoring._ecm_cost(SWEEP_BUDGET.trial_division_bound)
+    assert cost == 15876 + 121349
+    assert published_runs[137][0][1] == FactorStats(473638 + 18 * cost, 1, 3717, 0)
+    assert published_runs[149][0][1] == FactorStats(473638 + 20 * cost, 1, 3429, 0)
+
+
 @pytest.mark.parametrize("n", [137, 149])
-def test_pm1_leaves_smooth_free_pieces_partial_within_budget(n):
+def test_ecm_leaves_m137_and_m149_partial_at_half_the_sweep_budget(n):
+    budget = Budget(rho_iterations_max=1 << 21)
     stats = FactorStats()
-    f = factor_mersenne(n, SWEEP_BUDGET, stats=stats)
+    f = factor_mersenne(n, budget, stats=stats)
     assert not f.complete and f.cofactor == mersenne(n)
-    assert stats.rho_iterations == SWEEP_BUDGET.rho_iterations_max
+    assert stats.rho_iterations <= budget.rho_iterations_max
 
 
 def test_piece_that_rho_splits_within_the_pm1_cost_keeps_its_counts():
@@ -363,13 +386,47 @@ def test_piece_that_rho_splits_within_the_pm1_cost_keeps_its_counts():
 
 
 def test_pm1_never_runs_below_twice_its_cost(monkeypatch):
+    # Nor does ECM, which runs only after p-1.
     calls = []
     monkeypatch.setattr(factoring, "_pm1", lambda *args: calls.append(args))
+    monkeypatch.setattr(factoring, "_ecm", lambda *args: calls.append(args))
     for n in range(2, 401):
         factor_mersenne(n, Budget(rho_iterations_max=1 << 14))
     for n in (1050, 1061, 1459, 2310, 3000):
         factor_mersenne(n, Budget(rho_iterations_max=1000))
     assert calls == []
+
+
+@pytest.mark.parametrize("bound", [factoring._ECM_B1, 50_000, DEFAULT_BUDGET.trial_division_bound])
+def test_ecm_plan_covers_every_stage_two_prime(bound):
+    d = factoring._ECM_D
+    lo, rows = factoring._ecm_plan(bound)
+    primes = set(arith._sieve(factoring._ECM_B1, bound))
+    covered = set()
+    for m, row in enumerate(rows, lo):
+        for i in row:
+            j = factoring._ECM_BABIES[i]
+            pair = {m * d - j, m * d + j} & primes
+            assert pair, (m, j)  # every term pays for at least one prime
+            covered |= pair
+    assert covered == {q for q in primes if d % q}
+    stage_one = factoring._exponent(factoring._ECM_B1).bit_length()
+    assert factoring._ecm_cost(bound) == stage_one + sum(map(len, rows))
+
+
+def test_ecm_curve_returns_a_proper_divisor_or_none():
+    # Modulo 7 and 13 every curve's group order is smooth, so stage 1
+    # finds both primes at once: a gcd of v, which is no divisor.
+    outcomes = set()
+    for v in (7 * 13, 1000003 * 1000033, (1 << 64) + 1):
+        for sigma in range(6, 10):
+            g = factoring._ecm(v, sigma, 20_000)
+            assert g is None or (1 < g < v and v % g == 0), (v, sigma, g)
+            outcomes.add(g is None)
+    assert outcomes == {True, False}
+    m = mersenne(137)
+    assert factoring._ecm(m, 22, DEFAULT_BUDGET.trial_division_bound) is None
+    assert factoring._ecm(m, 23, DEFAULT_BUDGET.trial_division_bound) == 32032215596496435569
 
 
 # Prime n such as 101 send no value >= 2^64 to is_probable_prime at all;
@@ -428,7 +485,7 @@ def test_composite_mersenne_number_goes_on_after_lucas_lehmer(monkeypatch, p, fa
     f = factor_mersenne(p, Budget(rho_iterations_max=1 << 14))
     assert (f.factors, f.cofactor) == (factors, cofactor)
     assert lucas_lehmer == {p: 1}
-    # The Lucas-Lehmer verdict is in the memo, so rho does not test 2^p - 1 again.
+    # 2^p - 1 goes to rho untested: lucas_lehmer already found it composite.
     assert mersenne(p) not in tested
 
 
