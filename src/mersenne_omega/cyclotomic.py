@@ -21,7 +21,6 @@ __all__ = [
     "cyclotomic_split",
     "primitive_prime_divisors",
     "mersenne_quotient_residue",
-    "multiplicative_order_of_two",
 ]
 
 
@@ -78,24 +77,6 @@ def cyclotomic_split(n: int) -> list[CyclotomicPart]:
     for d in divisor_list(n):
         values[d] = mersenne(d) // math.prod(v for e, v in values.items() if d % e == 0)
     return [CyclotomicPart(d, v, math.gcd(v, d)) for d, v in values.items() if d >= 2]
-
-
-def multiplicative_order_of_two(q: int) -> int:
-    """Return the least e >= 1 with 2^e = 1 (mod q), for an odd prime q.
-
-    Each prime of q - 1 is divided out of e = q - 1 while 2^e stays 1
-    (mod q).  A divisor of 2^n - 1 is primitive exactly when its order is n.
-    """
-    if not _odd_prime(q):
-        raise ValueError("q must be an odd prime")
-    e = q - 1
-    f = factor_natural(e)
-    if not f.complete:
-        raise ArithmeticError(f"cannot factor exponent bound {e} within budget")
-    for r, _ in f.factors:
-        while e % r == 0 and pow(2, e // r, q) == 1:
-            e //= r
-    return e
 
 
 def primitive_prime_divisors(n: int, f: Factorization) -> PrimitiveReport:

@@ -300,11 +300,32 @@ def _exponent(b1: int) -> int:
     return math.prod(_prime_powers(b1))
 
 
+def _prime_count(x: int) -> int:
+    """pi(x), the number of primes <= x, with no list of them: Lucy_Hedgehog's
+    sieve over the values x // k, in about x^(3/4) steps."""
+    if x < 2:
+        return 0
+    r = math.isqrt(x)
+    small = [v - 1 for v in range(r + 1)]  # small[v]: the count for v
+    large = [0] + [x // k - 1 for k in range(1, r + 1)]  # large[k]: for x // k
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue  # p is composite
+        below, p2 = small[p - 1], p * p
+        for k in range(1, min(r, x // p2) + 1):
+            kp = k * p
+            large[k] -= (large[kp] if kp <= r else small[x // kp]) - below
+        for v in range(r, p2 - 1, -1):
+            small[v] -= small[v // p] - below
+    return large[1]
+
+
 @functools.cache
 def _pm1_cost(bound: int) -> int:
     """C, the work units a _pm1 run with B2 = bound charges: the stage-1
-    exponent's bits plus the stage-2 primes, 236,840 at the default bound."""
-    return _exponent(_PM1_B1).bit_length() + sum(map(len, _segments(_PM1_B1, bound)))
+    exponent's bits plus the stage-2 primes, 236,840 at the default bound.
+    The primes are counted, not sieved, so the gate costs no sieve to B2."""
+    return _exponent(_PM1_B1).bit_length() + max(0, _prime_count(bound) - _prime_count(_PM1_B1))
 
 
 def _pm1(v: int, d: int, bound: int) -> int | None:
@@ -554,9 +575,13 @@ def trial_divide_congruence(
 
     For odd prime d only q = +-1 (mod 8) can divide (2 is a square mod q):
     l = 0 or 3d (mod 4), two progressions of step 8d; else one of step 2d.
-    A comprehension tests 256 steps at a time up to min(limit, remaining),
-    divides out the smallest prime hit and resumes after it, skipping
-    composite hits; trial_candidates counts each candidate up to there.
+    A comprehension tests 256 steps at a time up to min(limit, rest), rest
+    being what is left of target, divides out the smallest prime hit and
+    resumes after it, skipping composite hits.  Once no candidate up to
+    isqrt(rest) divides a rest below 2^64, the rest is tested: a prime ends
+    the scan, listed when it is itself a candidate <= limit; a composite
+    (its primes are no candidates, as 7 * 19 for d = 6) is scanned on.
+    trial_candidates counts each candidate up to where the scan stops.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -570,8 +595,15 @@ def trial_divide_congruence(
     found: list[int] = []
     remaining = target
     done = 1  # every candidate <= done has been tested
+    root = math.isqrt(remaining) if remaining < 1 << 64 else limit
     while (bound := min(limit, remaining)) > done:
-        end = min(bound, done + 256 * step)
+        if root <= done:
+            if _prime_like(remaining):
+                if remaining <= limit and any((remaining - s) % step == 0 for s in starts):
+                    found.append(remaining)
+                break
+            root = limit
+        end = min(bound, root, done + 256 * step)
         firsts = [s + ((done - s) // step + 1) * step for s in starts]
         hits = sorted(q for s in firsts for q in range(s, end + 1, step) if not remaining % q)
         q = next((q for q in hits if _prime_like(q)), 0)
@@ -580,6 +612,7 @@ def trial_divide_congruence(
             found.append(q)
             while remaining % q == 0:
                 remaining //= q
+            root = math.isqrt(remaining) if remaining < 1 << 64 else limit
         stats.trial_candidates += sum(len(range(s, end + 1, step)) for s in firsts)
         done = end
     return found
@@ -597,7 +630,8 @@ def factor_mersenne(
     2^n - 1 into the cyclotomic parts belonging to each divisor d of n
     with d >= 2 (their product is the whole number); (3) strip each
     part's intrinsic prime and any primes already known from a partial
-    cache entry, then run the 2*d*l + 1 congruence scan; (4) hand what
+    cache entry, then run the 2*d*l + 1 congruence scan, which ends at
+    the square root of what is left of the part; (4) hand what
     survives to rho, Pollard p-1 and ECM (see _factor_with_rho), which
     also settles primes and perfect powers.
     Results are merged across parts, sorted, and written back to the
@@ -614,11 +648,13 @@ def factor_mersenne(
     and a prime one pays for no more of the scan than for Lucas-Lehmer.
     Under the default budget the first stretch is the whole scan once
     n >= 1000.
-    Every other value is tested once, where it is made: a part before the
+    Every other value is tested where it is made: a part before the
     scan, and again only if the scan shrank it; a part the scan leaves as
-    it was is composite by that test or by lucas_lehmer.  The cache is
-    told the leftover is composite.  Values of a part with d >= 256 are
-    tested and split in the ring Z/(2^d - 1) (see arith._ring).
+    it was is composite by that test or by lucas_lehmer.  The scan's stop
+    may test a rest below 2^64 once more; a larger value is tested once.
+    The cache is told the leftover is composite.  Values of a part with
+    d >= 256 are tested and split in the ring Z/(2^d - 1) (see
+    arith._ring).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

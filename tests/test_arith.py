@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -11,12 +12,11 @@ from mersenne_omega import (
     lucas_lehmer,
     mersenne,
     mod_mersenne,
-    multiplicative_order_of_two,
 )
 from mersenne_omega import arith
 from mersenne_omega.arith import _is_strong_probable_prime, _prime_like, _primes_up_to, _ring, _ring_pow
-from mersenne_omega.cyclotomic import cyclotomic_split
-from mersenne_omega.factoring import factor_natural, trial_divide_congruence
+from mersenne_omega.cyclotomic import cyclotomic_split, primitive_prime_divisors
+from mersenne_omega.factoring import factor_mersenne, trial_divide_congruence
 
 
 def test_mersenne_values():
@@ -244,25 +244,20 @@ def test_primality_agrees_with_sympy():
     assert len(big) > 300 and sum(map(sympy.isprime, big)) > 50
 
 
-def test_multiplicative_order_examples():
-    assert multiplicative_order_of_two(7) == 3  # 2^3 = 8 = 1 mod 7
-    assert multiplicative_order_of_two(73) == 9
-    assert multiplicative_order_of_two(337) == 21
+def test_primitive_prime_divisors_examples():
+    # 2^3 = 8 = 1 (mod 7): 7 first divides 2^3 - 1, 73 first 2^9 - 1.
+    for q, n in ((7, 3), (73, 9), (337, 21)):
+        assert q in primitive_prime_divisors(n, factor_mersenne(n)).primitive_primes
 
 
-def test_multiplicative_order_rejects_bad_input():
-    for q in (1, 2, 4, 9, 15):
-        with pytest.raises(ValueError):
-            multiplicative_order_of_two(q)
-
-
-def test_multiplicative_order_properties():
+def test_primitive_prime_divisors_properties():
+    # q is primitive for exactly one n: the order of 2 modulo q, the least
+    # e with 2^e = 1 (mod q), which divides q - 1.
     for q in (3, 5, 7, 11, 13, 17, 23, 31, 73, 89, 127, 151, 178481, 262657):
-        e = multiplicative_order_of_two(q)
+        e = next(n for n in itertools.count(1) if pow(2, n, q) == 1)
         assert (q - 1) % e == 0
-        assert pow(2, e, q) == 1
-        for r, _ in factor_natural(e).factors:
-            assert pow(2, e // r, q) != 1
+        reports = [primitive_prime_divisors(n, factor_mersenne(n)) for n in range(1, e + 1)]
+        assert [r.n for r in reports if q in r.primitive_primes] == [e]
 
 
 def test_integer_root():

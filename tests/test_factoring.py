@@ -14,7 +14,6 @@ from mersenne_omega import (
     factor_mersenne,
     factor_natural,
     mersenne,
-    multiplicative_order_of_two,
     pollard_rho_brent,
     trial_divide_congruence,
 )
@@ -142,19 +141,36 @@ def test_trial_divide_congruence_examples():
     assert trial_divide_congruence(7, 4, 100) == []
 
 
-def _reference_scan(target: int, d: int, limit: int, stats: FactorStats) -> list[int]:
+def _reference_scan(
+    target: int, d: int, limit: int, stats: FactorStats, stop_at_root: bool = True
+) -> list[int]:
     """The congruence scan as one bytecode loop over every 2*d*l + 1: the
     reference trial_divide_congruence must match hit for hit and count
-    for count."""
+    for count.  Once a step passes isqrt of a rest below 2^64, the rest is
+    tested: a prime ends the scan, listed if it is a candidate <= limit.
+    With stop_at_root False it is the scan bounded by min(limit, rest)
+    alone, which lists the same primes and counts more candidates."""
     filter_mod_8 = d % 2 == 1 and arith._prime_like(d)
+
+    def stop(rest: int) -> int:
+        return math.isqrt(rest) if stop_at_root and rest < 1 << 64 else limit
+
     found: list[int] = []
     remaining = target
+    root = stop(remaining)
     step = 2 * d
     q = 1
     while True:
         q += step
         if q > limit or q > remaining:
             break
+        if q > root:
+            if arith._prime_like(remaining):
+                if remaining <= limit and (remaining - 1) % step == 0:
+                    if not filter_mod_8 or remaining & 7 in (1, 7):
+                        found.append(remaining)
+                break
+            root = limit
         if filter_mod_8 and q & 7 not in (1, 7):
             continue
         stats.trial_candidates += 1
@@ -165,15 +181,19 @@ def _reference_scan(target: int, d: int, limit: int, stats: FactorStats) -> list
         found.append(q)
         while remaining % q == 0:
             remaining //= q
+        root = stop(remaining)
     return found
 
 
 def _assert_scan_matches_reference(target: int, d: int, limits) -> None:
     for limit in limits:
-        expected_stats, stats = FactorStats(), FactorStats()
+        expected_stats, stats, old_stats = FactorStats(), FactorStats(), FactorStats()
         expected = _reference_scan(target, d, limit, expected_stats)
         assert trial_divide_congruence(target, d, limit, stats) == expected, (target, d, limit)
         assert stats == expected_stats, (target, d, limit)
+        # The stop at the root changes the count, never the list.
+        assert _reference_scan(target, d, limit, old_stats, stop_at_root=False) == expected
+        assert old_stats.trial_candidates >= stats.trial_candidates, (target, d, limit)
 
 
 def _stripped_cyclotomic_part(d: int) -> int:
@@ -218,6 +238,41 @@ def test_trial_divide_congruence_matches_the_candidate_loop_on_built_targets():
         # The limits end before, on and after the edge, and mid-block.
         _assert_scan_matches_reference(target, d, limits + (edge - 1, edge, edge + 1, edge + step))
         _assert_scan_matches_reference(target * 3 * 5, d, limits)
+
+
+def test_trial_divide_congruence_stops_at_the_root_of_what_is_left():
+    # 2^47 - 1 = 2351 * 4513 * 13264529: once 4513 is out, the rest is a
+    # prime above the limit and past its root, so the scan stops there
+    # instead of testing every candidate up to 2*10^6 (10,638 of them).
+    stats = FactorStats()
+    assert trial_divide_congruence(mersenne(47), 47, 2 * 10**6, stats) == [2351, 4513]
+    assert 0 < stats.trial_candidates <= 30
+    # A composite rest whose primes are no candidates (133 = 7 * 19 for
+    # d = 6) does not stop the scan: 12289 is still found past its root.
+    assert trial_divide_congruence(133 * 157 * 12289, 6, 2 * 10**6) == [157, 12289]
+    # A prime rest that is itself a candidate <= limit is listed.
+    assert trial_divide_congruence(23 * 89, 11, 100) == [23, 89]
+    assert trial_divide_congruence(23 * 89, 11, 88) == [23]
+
+
+def test_trial_divide_congruence_lists_what_the_unstopped_scan_lists():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(0, 5 * 10**12 - 1).map(lambda k: 2 * k + 1),
+        st.integers(2, 400),
+        st.sampled_from((1, None, 10**3, 10**5, 2 * 10**6)),
+    )
+    def check(target, d, limit):
+        limit = limit or 2 * d
+        stats, old_stats = FactorStats(), FactorStats()
+        expected = _reference_scan(target, d, limit, old_stats, stop_at_root=False)
+        assert trial_divide_congruence(target, d, limit, stats) == expected
+        assert stats.trial_candidates <= old_stats.trial_candidates
+
+    check()
 
 
 def test_trial_divide_congruence_rejects_bad_input():
@@ -383,6 +438,19 @@ def test_piece_that_rho_splits_within_the_pm1_cost_keeps_its_counts():
     assert f.complete and f.primes()[-2:] == (62983048367, 131105292137)
     assert stats == FactorStats(126206, 1, 8403, 0)
     assert stats.rho_iterations < factoring._pm1_cost(SWEEP_BUDGET.trial_division_bound)
+
+
+@pytest.mark.parametrize("bound", [factoring._PM1_B1 // 2, factoring._PM1_B1, 278557, 2 * 10**6, 5 * 10**6])
+def test_pm1_cost_counts_the_primes_stage_two_walks(bound):
+    bits = factoring._exponent(factoring._PM1_B1).bit_length()
+    walked = sum(map(len, factoring._segments(factoring._PM1_B1, bound)))
+    assert factoring._pm1_cost(bound) == bits + walked
+
+
+def test_prime_count_matches_the_sieve():
+    for x in range(-1, 3000):
+        assert factoring._prime_count(x) == len(arith._sieve(1, x)), x
+    assert factoring._pm1_cost(DEFAULT_BUDGET.trial_division_bound) == 94449 + 142391
 
 
 def test_pm1_never_runs_below_twice_its_cost(monkeypatch):
@@ -564,9 +632,10 @@ def test_factor_mersenne_complete_through_64():
 def test_factor_mersenne_order_congruences():
     # every reported prime q has ord | n, q = 1 (mod ord), and for odd
     # orders also q = 1 (mod 2 * ord)
+    sympy = pytest.importorskip("sympy")
     for n in range(2, 65):
         for q, _ in factor_mersenne(n).factors:
-            e = multiplicative_order_of_two(q)
+            e = sympy.n_order(2, q)
             assert n % e == 0, (n, q)
             assert (q - 1) % e == 0, (n, q)
             if e % 2:
