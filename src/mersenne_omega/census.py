@@ -93,7 +93,6 @@ class CensusSummary(NamedTuple):
     lemma6_upper_fraction: float | None
     final_fraction: float | None
     deterministic_violations: tuple[int, ...]
-    weak_divisor_bound_violations: tuple[int, ...]
     uncorrected_bound_witnesses: tuple[int, ...]
     asymptotic_note: str = ASYMPTOTIC_NOTE
 
@@ -110,7 +109,6 @@ def run_census(config: CensusConfig, cache=None, stats: FactorStats | None = Non
     """
     records = []
     violations = []
-    weak_violations = []
     witnesses = []
     lemma6_true = lemma6_total = 0
     lemma6_upper_true = 0
@@ -136,8 +134,6 @@ def run_census(config: CensusConfig, cache=None, stats: FactorStats | None = Non
         if omega_m is not None:
             if omega_m < bound_p2 or omega_m < bound_div:
                 violations.append(n)
-            if omega_m < d_n - 3:
-                weak_violations.append(n)
             if n not in (2, 6) and bigomega_n + 1 > omega_m:
                 witnesses.append(n)
 
@@ -169,7 +165,6 @@ def run_census(config: CensusConfig, cache=None, stats: FactorStats | None = Non
         lemma6_upper_fraction=lemma6_upper_true / lemma6_total if lemma6_total else None,
         final_fraction=final_true / final_total if final_total else None,
         deterministic_violations=tuple(violations),
-        weak_divisor_bound_violations=tuple(weak_violations),
         uncorrected_bound_witnesses=tuple(witnesses),
     )
     return records, summary

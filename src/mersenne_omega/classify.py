@@ -16,7 +16,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .arith import _odd_prime, _prime_like, integer_root, is_perfect_power, mersenne
+from .arith import _prime_like, integer_root, is_perfect_power, mersenne
 from .cyclotomic import mersenne_quotient_residue
 from .factoring import Budget, Factorization, FactorStats, factor_mersenne, factor_natural
 
@@ -29,7 +29,6 @@ __all__ = [
     "ClassificationReport",
     "SuiteResult",
     "IdentityReport",
-    "validate_divisor_form",
     "index_functions",
     "lower_bound_omega",
     "lower_bound_divisors",
@@ -87,9 +86,6 @@ class CandidateForm(NamedTuple):
             return omega in self.eligible_omega
         return OMEGA_MORE in self.eligible_omega
 
-    def eligible_sorted(self) -> list:
-        return list(self.eligible_omega)
-
 
 class DivisorFormCheck(NamedTuple):
     """Decomposition q = 2*l*p + 1 of a prime divisor q of 2^p - 1.
@@ -114,19 +110,11 @@ class ClassificationReport(NamedTuple):
     divisor_form_checks: tuple[DivisorFormCheck, ...]
 
 
-def validate_divisor_form(q: int, p: int) -> DivisorFormCheck:
-    """Check the 2*l*p + 1 form of a prime q dividing 2^p - 1, p odd prime.
-
-    A non-integral l means the caller's divisibility premise was violated
+def _divisor_form(q: int, p: int) -> DivisorFormCheck:
+    """Check the 2*l*p + 1 form of a prime q dividing 2^p - 1, p an odd
+    prime.  A non-integral l means the divisibility premise was violated
     and is reported as an error rather than a failed check.
     """
-    if not _odd_prime(p):
-        raise ValueError("p must be an odd prime")
-    return _divisor_form(q, p)
-
-
-def _divisor_form(q: int, p: int) -> DivisorFormCheck:
-    """validate_divisor_form for a p already known to be an odd prime."""
     if (q - 1) % (2 * p):
         raise ValueError(f"{q} is not of the form 2*l*{p} + 1")
     l = (q - 1) // (2 * p)
@@ -349,14 +337,6 @@ class SuiteResult(NamedTuple):
 class IdentityReport(NamedTuple):
     max_n: int
     suites: tuple[SuiteResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(s.ok for s in self.suites)
-
-    @property
-    def inconclusive(self) -> int:
-        return sum(s.inconclusive for s in self.suites)
 
 
 class _Tally:

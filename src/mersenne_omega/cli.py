@@ -120,7 +120,7 @@ def _classification_payload(n: int, f) -> dict:
         "n": n,
         "shape": form.shape.value,
         "min_omega": form.min_omega,
-        "eligible_omega": form.eligible_sorted(),
+        "eligible_omega": list(form.eligible_omega),
         "omega": report.omega,
         "matched_clause": report.matched_clause.value,
         "decomposition": report.decomposition,

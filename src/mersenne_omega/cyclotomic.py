@@ -17,7 +17,6 @@ __all__ = [
     "CyclotomicPart",
     "PrimitiveReport",
     "divisor_list",
-    "cyclotomic_value",
     "cyclotomic_split",
     "primitive_prime_divisors",
     "mersenne_quotient_residue",
@@ -54,14 +53,6 @@ def divisor_list(n: int) -> list[int]:
     for p, e in factor_natural(n).factors:
         divisors = [d * p**i for d in divisors for i in range(e + 1)]
     return sorted(divisors)
-
-
-def cyclotomic_value(d: int) -> int:
-    """Phi_d(2): 1 for d = 1, otherwise the last part of
-    cyclotomic_split(d)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return 1 if d == 1 else cyclotomic_split(d)[-1].value
 
 
 def cyclotomic_split(n: int) -> list[CyclotomicPart]:

@@ -27,7 +27,6 @@ __all__ = [
     "FactorStats",
     "factor_natural",
     "trial_divide_congruence",
-    "pollard_rho_brent",
     "factor_mersenne",
 ]
 
@@ -131,7 +130,16 @@ class Factorization(_FactorizationFields):
         return result
 
     def reconstructs(self) -> bool:
-        return self.product() == self.target
+        """Whether dividing target by each p^e leaves cofactor.  Dividing
+        rather than multiplying out refuses a forged exponent after at most
+        log2(target) + 1 divisions instead of building p^e."""
+        rest = self.target
+        for p, e in self.factors:
+            for _ in range(e):
+                rest, remainder = divmod(rest, p)
+                if remainder:
+                    return False
+        return rest == self.cofactor
 
 
 class FactorStats:
@@ -252,24 +260,6 @@ def _rho_brent(
     if 1 < g < x:
         return g
     return None
-
-
-def pollard_rho_brent(
-    x: int, seed: int, budget: Budget | None = None, stats: FactorStats | None = None
-) -> int | None:
-    """Find a nontrivial divisor of an odd composite x, or None.
-
-    The iteration function is y <- y^2 + seed (mod x) starting from
-    y = 2, with Brent cycle detection.  Callers guarantee x is composite,
-    odd, and not a perfect power; primes are rejected outright.
-    """
-    if x % 2 == 0:
-        raise ValueError("x must be odd")
-    if _prime_like(x):
-        raise ValueError("x must be composite")
-    budget = budget or DEFAULT_BUDGET
-    stats = stats or FactorStats()
-    return _rho_brent(x, seed, stats, stats.rho_iterations + budget.rho_iterations_max)
 
 
 # Pollard p-1 for the pieces of Phi_d(2), whose primes q all have d | q - 1.

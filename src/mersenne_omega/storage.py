@@ -170,15 +170,7 @@ class FactorCache:
 
 def _verify_entry(n: int, factors, cofactor: int, status: str) -> Factorization:
     entry = Factorization(mersenne(n), factors, cofactor)
-    # Divide rather than multiply out: a forged exponent is refused after
-    # at most n divisions instead of building p^e.
-    rest = entry.target
-    for p, e in factors:
-        for _ in range(e):
-            rest, remainder = divmod(rest, p)
-            if remainder:
-                raise ValueError("factor product does not reconstruct 2^n - 1")
-    if rest != cofactor:
+    if not entry.reconstructs():
         raise ValueError("factor product does not reconstruct 2^n - 1")
     if entry.status != status:
         raise ValueError(f"status {status!r} disagrees with cofactor")

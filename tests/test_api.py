@@ -28,6 +28,36 @@ def test_submodule_exports_are_disjoint_and_the_package_list_sorted():
     assert mersenne_omega.__all__ == sorted(mersenne_omega.__all__)
 
 
+# Exported with no caller in the package, the CLI or perfbench: README
+# presents these two as the paper's floors on omega(2^n - 1).
+UNCALLED_EXPORTS = ("lower_bound_divisors", "lower_bound_omega")
+
+
+def _names_read(path):
+    """Every name a module loads or reads as an attribute.  A definition,
+    an assignment target and an __all__ string are none of these."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_caller_in_the_package_or_perfbench():
+    root = Path(__file__).parents[1]
+    paths = [*(root / "src" / "mersenne_omega").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    read = set().union(*(_names_read(path) for path in paths if not path.name.startswith("test_")))
+    uncalled = [
+        name
+        for sub in SUBMODULES
+        for name in importlib.import_module(f"mersenne_omega.{sub}").__all__
+        if name not in read
+    ]
+    assert sorted(uncalled) == list(UNCALLED_EXPORTS)
+
+
 def test_arith_imports_nothing_from_the_package():
     tree = ast.parse(Path(mersenne_omega.__file__).with_name("arith.py").read_text())
     relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]

@@ -68,7 +68,6 @@ def test_census_full_range():
     assert summary.records_total == 63
     assert summary.complete_count == 63 and summary.incomplete_count == 0
     assert summary.deterministic_violations == ()
-    assert summary.weak_divisor_bound_violations == ()
     assert summary.final_fraction == 1.0
     assert summary.asymptotic_note == ASYMPTOTIC_NOTE
     for r in records:

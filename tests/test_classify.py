@@ -14,7 +14,6 @@ from mersenne_omega import (
     lower_bound_omega,
     mersenne,
     run_census,
-    validate_divisor_form,
     verify_identities,
     verify_structure,
     verify_structures_in_range,
@@ -23,22 +22,27 @@ from mersenne_omega import arith, census, classify, cyclotomic, factoring
 from mersenne_omega.factoring import Budget, Factorization, factor_natural
 
 
+def divisor_form_checks(p: int) -> dict:
+    """The 2*l*p + 1 checks verify_structure makes on the primes of 2^p - 1."""
+    return {c.q: c for c in verify_structure(p, factor_mersenne(p)).divisor_form_checks}
+
+
 def test_validate_divisor_form_examples():
-    c = validate_divisor_form(23, 11)
+    c = divisor_form_checks(11)[23]
     assert (c.l, c.l_class, c.passes) == (1, 1, True)  # (-11) % 4 == 1
-    c = validate_divisor_form(89, 11)
+    c = divisor_form_checks(11)[89]
     assert (c.l, c.l_class, c.passes) == (4, 0, True)
-    c = validate_divisor_form(1103, 29)
+    c = divisor_form_checks(29)[1103]
     assert (c.l, c.l_class, c.passes) == (19, 3, True)  # (-29) % 4 == 3
 
 
 def test_validate_divisor_form_errors():
     with pytest.raises(ValueError):
-        validate_divisor_form(7, 11)  # 6 not divisible by 22
+        classify._divisor_form(7, 11)  # 6 not divisible by 22
     with pytest.raises(ValueError):
-        validate_divisor_form(23, 4)  # p not an odd prime
+        classify._divisor_form(23, 4)  # 22 not divisible by 8
     with pytest.raises(ValueError):
-        validate_divisor_form(23, 9)
+        classify._divisor_form(23, 9)  # 22 not divisible by 18
 
 
 @pytest.mark.parametrize(
@@ -189,13 +193,13 @@ def test_classify_index_shapes():
 
 
 def test_classify_index_eligibility():
-    assert classify_index(15).eligible_sorted() == [3, "more"]
-    assert classify_index(30).eligible_sorted() == ["more"]
-    assert classify_index(4).eligible_sorted() == [2]
-    assert classify_index(8).eligible_sorted() == [3]
-    assert classify_index(2).eligible_sorted() == [1]
-    assert classify_index(7).eligible_sorted() == [1, 2, 3, "more"]
-    assert classify_index(49).eligible_sorted() == [2, 3, "more"]
+    assert list(classify_index(15).eligible_omega) == [3, "more"]
+    assert list(classify_index(30).eligible_omega) == ["more"]
+    assert list(classify_index(4).eligible_omega) == [2]
+    assert list(classify_index(8).eligible_omega) == [3]
+    assert list(classify_index(2).eligible_omega) == [1]
+    assert list(classify_index(7).eligible_omega) == [1, 2, 3, "more"]
+    assert list(classify_index(49).eligible_omega) == [2, 3, "more"]
     form = classify_index(15)
     assert form.min_omega == 3
     assert form.allows(3) and form.allows(7) and not form.allows(2)
@@ -219,11 +223,11 @@ def test_classify_index_eligibility():
 )
 def test_classify_index_pins_each_shape(n, shape, min_omega, eligible):
     form = classify_index(n)
-    assert (form.shape.value, form.min_omega, form.eligible_sorted()) == (shape, min_omega, eligible)
+    assert (form.shape.value, form.min_omega, list(form.eligible_omega)) == (shape, min_omega, eligible)
 
 
 def test_index_one_is_consistent_with_no_primes():
-    assert classify_index(1).eligible_sorted() == [0]
+    assert list(classify_index(1).eligible_omega) == [0]
     report = verify_structure(1, factor_mersenne(1))
     assert (report.omega, report.matched_clause, report.consistent) == (0, Clause.NONE, True)
 
@@ -306,14 +310,16 @@ def test_divisor_form_on_all_prime_index_factors():
     for p in range(3, 62, 2):
         if any(p % r == 0 for r in range(2, p)):
             continue
-        for q, _ in factor_mersenne(p).factors:
-            assert validate_divisor_form(q, p).passes, (p, q)
+        checks = divisor_form_checks(p)
+        assert sorted(checks) == list(factor_mersenne(p).primes()), p
+        for q, c in checks.items():
+            assert c.passes, (p, q)
 
 
 def test_verify_identities_all_pass_at_40():
     report = verify_identities(40)
-    assert report.ok
-    assert report.inconclusive == 0
+    assert all(s.ok for s in report.suites)
+    assert sum(s.inconclusive for s in report.suites) == 0
     names = [s.name for s in report.suites]
     assert names == [
         "gcd_identity",
@@ -336,7 +342,7 @@ def test_verify_identities_skips_product_six():
 
 def test_verify_identities_minimum_range():
     report = verify_identities(2)
-    assert report.ok
+    assert all(s.ok for s in report.suites)
     with pytest.raises(ValueError):
         verify_identities(1)
 

@@ -1,11 +1,11 @@
 import math
+import time
 
 import pytest
 
 from mersenne_omega import (
     Budget,
     cyclotomic_split,
-    cyclotomic_value,
     divisor_list,
     factor_mersenne,
     mersenne,
@@ -24,20 +24,26 @@ def test_divisor_list():
         divisor_list(0)
 
 
+def phi(d: int) -> int:
+    """Phi_d(2), the last part of cyclotomic_split(d); Phi_1(2) = 1."""
+    return cyclotomic_split(d)[-1].value if d > 1 else 1
+
+
 def test_cyclotomic_value_examples():
-    assert cyclotomic_value(1) == 1
-    assert cyclotomic_value(2) == 3
-    assert cyclotomic_value(6) == 3
-    assert cyclotomic_value(12) == 13  # 4095 * 3 / (63 * 15)
-    assert cyclotomic_value(21) == 2359  # 7 * 337
+    assert cyclotomic_split(1) == []
+    assert phi(2) == 3
+    assert phi(6) == 3
+    assert phi(12) == 13  # 4095 * 3 / (63 * 15)
+    assert phi(21) == 2359  # 7 * 337
 
 
 def test_cyclotomic_product_identity():
     for n in range(1, 201):
         product = 1
         for d in divisor_list(n):
-            product *= cyclotomic_value(d)
+            product *= phi(d)
         assert product == mersenne(n), n
+        assert all(part.value == phi(part.d) for part in cyclotomic_split(n)), n
 
 
 def test_cyclotomic_value_matches_sympy():
@@ -46,7 +52,7 @@ def test_cyclotomic_value_matches_sympy():
     # independently.
     sympy = pytest.importorskip("sympy")
     for d in range(1, 401):
-        assert cyclotomic_value(d) == int(sympy.cyclotomic_poly(d, 2)), d
+        assert phi(d) == int(sympy.cyclotomic_poly(d, 2)), d
 
 
 def test_cyclotomic_split_examples():
@@ -61,7 +67,7 @@ def test_cyclotomic_split_examples():
 
 def test_cyclotomic_intrinsic_is_one_or_largest_prime_to_first_power():
     for n in range(2, 201):
-        value = cyclotomic_value(n)
+        value = phi(n)
         g = math.gcd(value, n)
         if g == 1:
             continue
@@ -113,6 +119,16 @@ def test_primitive_prime_divisors_refuses_primes_that_do_not_rebuild_the_target(
     for factors in wrong:
         with pytest.raises(ValueError, match="does not rebuild"):
             primitive_prime_divisors(11, Factorization(mersenne(11), factors))
+
+
+def test_primitive_prime_divisors_refuses_a_forged_exponent_at_once():
+    # Multiplying out 31^(10^12) would exhaust memory; dividing 31 by 31
+    # twice finds a remainder on the second division.
+    forged = Factorization(31, ((31, 10**12),))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="does not rebuild"):
+        primitive_prime_divisors(5, forged)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_primitive_prime_divisors_factor_n_once(natural_calls):

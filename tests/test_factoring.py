@@ -10,14 +10,12 @@ from mersenne_omega import (
     FactorCache,
     FactorStats,
     Factorization,
-    cyclotomic_value,
     factor_mersenne,
     factor_natural,
     mersenne,
-    pollard_rho_brent,
     trial_divide_congruence,
 )
-from mersenne_omega import arith, factoring
+from mersenne_omega import arith, cyclotomic, factoring
 from mersenne_omega.factoring import _sieve_primes
 
 
@@ -28,6 +26,10 @@ def test_factorization_invariants():
     assert f.reconstructs()
     partial = Factorization(536870911, ((233, 1),), 2304167)
     assert partial.status == "partial" and partial.reconstructs()
+    assert not Factorization(60, ((2, 2), (3, 1), (5, 2))).reconstructs()
+    assert not Factorization(60, ((2, 1), (3, 1), (5, 1))).reconstructs()  # 2 left over
+    assert not Factorization(536870911, ((233, 1),), 2304169).reconstructs()
+    assert not Factorization(31, ((31, 10**12),)).reconstructs()  # refused by division
     with pytest.raises(ValueError):
         Factorization(12, ((3, 1), (2, 2)))  # not ascending
     with pytest.raises(ValueError):
@@ -197,7 +199,7 @@ def _assert_scan_matches_reference(target: int, d: int, limits) -> None:
 
 
 def _stripped_cyclotomic_part(d: int) -> int:
-    v = cyclotomic_value(d)
+    v = cyclotomic.cyclotomic_split(d)[-1].value
     g = math.gcd(v, d)
     while g > 1 and v % g == 0:
         v //= g
@@ -282,22 +284,20 @@ def test_trial_divide_congruence_rejects_bad_input():
         trial_divide_congruence(14, 3, 100)
 
 
+def _rho(x, seed, ceiling=DEFAULT_BUDGET.rho_iterations_max, stats=None):
+    """One _rho_brent attempt with its own ledger, as a top-level call makes."""
+    return factoring._rho_brent(x, seed, stats or FactorStats(), ceiling)
+
+
 def test_pollard_rho_brent_examples():
-    assert pollard_rho_brent(8051, 1) in (83, 97)
-    assert pollard_rho_brent(15, 1) in (3, 5)
-    assert pollard_rho_brent(2047, 1) in (23, 89)
-
-
-def test_pollard_rho_brent_rejects_primes_and_evens():
-    with pytest.raises(ValueError):
-        pollard_rho_brent(8191, 1)
-    with pytest.raises(ValueError):
-        pollard_rho_brent(100, 1)
+    assert _rho(8051, 1) in (83, 97)
+    assert _rho(15, 1) in (3, 5)
+    assert _rho(2047, 1) in (23, 89)
 
 
 def test_pollard_rho_brent_is_deterministic():
-    a = pollard_rho_brent(600851475143, 1)
-    b = pollard_rho_brent(600851475143, 1)
+    a = _rho(600851475143, 1)
+    b = _rho(600851475143, 1)
     assert a == b
 
 
@@ -305,10 +305,10 @@ def test_pollard_rho_brent_stops_at_the_budget():
     # 8051 = 83 * 97 splits after exactly 6 iterations with seed 1; the
     # next step needs 2 more, so a budget of 5 stops at 4.
     s = FactorStats()
-    assert pollard_rho_brent(8051, 1, Budget(rho_iterations_max=6), s) == 97
+    assert _rho(8051, 1, 6, s) == 97
     assert s.rho_iterations == 6
     s = FactorStats()
-    assert pollard_rho_brent(8051, 1, Budget(rho_iterations_max=5), s) is None
+    assert _rho(8051, 1, 5, s) is None
     assert s.rho_iterations == 4
 
 

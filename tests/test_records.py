@@ -73,7 +73,6 @@ RECORDS = [
             lemma6_upper_fraction=0.9,
             final_fraction=1.0,
             deterministic_violations=(),
-            weak_divisor_bound_violations=(),
             uncorrected_bound_witnesses=(4, 8, 9),
             asymptotic_note="note",
         ),
@@ -131,10 +130,10 @@ def test_record_properties_and_methods():
     assert f.product() == 2047 and f.reconstructs()
     form = CandidateForm(9, Shape.PRIME_SQUARED, 2, (2, 3, "more"))
     assert form.allows(3) and form.allows(5) and not form.allows(1)
-    assert form.eligible_sorted() == [2, 3, "more"]
+    assert list(form.eligible_omega) == [2, 3, "more"]
     assert SUITE.ok and not SuiteResult("s", 1, 1).ok
     report = IdentityReport(12, (SUITE, SuiteResult("t", 0, 0, inconclusive=4)))
-    assert report.ok and report.inconclusive == 4
+    assert all(s.ok for s in report.suites) and sum(s.inconclusive for s in report.suites) == 4
     assert ImportSummary(3, 1, ((1, "a"), (2, "b"))).rejected_count == 2
 
 
