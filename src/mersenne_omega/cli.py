@@ -261,23 +261,33 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    path = args.cache
+    # A cofactor of M_n past about 14,280 bits has more than 4300 decimal
+    # digits, CPython's default limit on int <-> str conversion (none
+    # before 3.10.7); the limit is lifted while the command runs.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        cache = load_cache(path) if path and Path(path).exists() else FactorCache()
-        code = args.func(args, cache)
-        if path and cache.changed:
-            save_cache(cache, path)
-        return code
-    except CacheError as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        path = args.cache
+        try:
+            cache = load_cache(path) if path and Path(path).exists() else FactorCache()
+            code = args.func(args, cache)
+            if path and cache.changed:
+                save_cache(cache, path)
+            return code
+        except CacheError as exc:
+            print(f"cache error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,10 @@ divisors of n.
 
 All routines are deterministic: rho seeds follow the fixed schedule
 c = 1, 2, 3, ..., ECM curves sigma = 6, 7, 8, ..., and there is no
-wall-clock dependence.
+wall-clock dependence.  ECM curves run on every usable core, in helper
+processes that live for one ECM stage (run as "python -m" on this
+module), and their results are taken in sigma order, so no result or
+work counter depends on how many cores there are.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import sys
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -286,8 +291,13 @@ def _prime_powers(b1: int) -> Iterator[int]:
 
 @functools.cache
 def _exponent(b1: int) -> int:
-    """The stage-1 exponent of p-1 and ECM: the product of _prime_powers(b1)."""
-    return math.prod(_prime_powers(b1))
+    """The stage-1 exponent of p-1 and ECM: the product of _prime_powers(b1),
+    multiplied as a balanced tree, so most products are of equal-sized
+    factors (a running product makes each one a long times a short)."""
+    terms = list(_prime_powers(b1)) or [1]
+    while len(terms) > 1:
+        terms = [math.prod(terms[i : i + 2]) for i in range(0, len(terms), 2)]
+    return terms[0]
 
 
 def _prime_count(x: int) -> int:
@@ -318,11 +328,32 @@ def _pm1_cost(bound: int) -> int:
     return _exponent(_PM1_B1).bit_length() + max(0, _prime_count(bound) - _prime_count(_PM1_B1))
 
 
+@functools.cache
+def _stage_two(bound: int) -> tuple[bytes, list[int]]:
+    """The stage-2 primes of ECM and p-1, those in (_ECM_B1, bound], sieved
+    once per bound into gaps: byte i is half the gap to prime i from the one
+    before (from _ECM_B1 | 1, odd, for i = 0).  A byte per prime holds the
+    147k primes of the default bound in 147 KB, where a list of ints would
+    take about 5 MB; half-gaps fit a byte below 3 * 10^11.  p-1 takes one
+    gcd per sieve segment of _segments(_PM1_B1, bound): cuts[0] indexes its
+    first prime and cuts[k + 1] the first prime past segment k.
+    """
+    gaps, cuts, last = bytearray(), [], _ECM_B1 | 1
+    below = _sieve(_ECM_B1, min(bound, _PM1_B1))  # below p-1's stage 2
+    for primes in itertools.chain([below], _segments(_PM1_B1, bound)):
+        for q in primes:
+            gaps.append((q - last) >> 1)
+            last = q
+        cuts.append(len(gaps))
+    return bytes(gaps), cuts
+
+
 def _pm1(v: int, d: int, bound: int) -> int | None:
     """Pollard p-1 with B2 = bound on a composite piece v of Phi_d(2): a
     proper divisor of v, or None.  Stage 2 steps from prime to prime by
-    their gaps and takes a gcd once per segment.  A gcd of v is retraced
-    one prime power or prime at a time, so no divisor is lost."""
+    their gaps (see _stage_two) and takes a gcd once per segment.  A gcd of
+    v is retraced one prime power or prime at a time, so no divisor is
+    lost."""
     a = pow(3, 2 * d * _exponent(_PM1_B1), v)
     g = math.gcd(a - 1, v)
     if g == v:
@@ -330,17 +361,18 @@ def _pm1(v: int, d: int, bound: int) -> int | None:
         g = next((h for q in _prime_powers(_PM1_B1) if (h := math.gcd((b := pow(b, q, v)) - 1, v)) > 1))
     if g > 1:
         return g if g < v else None
-    steps: dict[int, int] = {}
-    x, last = a, 1  # x = a^last
-    for primes in _segments(_PM1_B1, bound):
+    gaps, cuts = _stage_two(bound)
+    steps: dict[int, int] = {}  # s: a^(2s)
+    x = pow(a, (_ECM_B1 | 1) + 2 * sum(gaps[: cuts[0]]), v)  # a^r, r the last prime <= _PM1_B1
+    for k in range(len(cuts) - 1):
         acc = 1
-        for r in primes:
-            step = steps.get(r - last) or steps.setdefault(r - last, pow(a, r - last, v))
-            x = x * step % v
+        for s in gaps[cuts[k] : cuts[k + 1]]:
+            x = x * (steps.get(s) or steps.setdefault(s, pow(a, 2 * s, v))) % v
             acc = acc * (x - 1) % v
-            last = r
         g = math.gcd(acc, v)
         if g == v:
+            lo = _PM1_B1 + (k << 14)
+            primes = _sieve(lo, min(lo + (1 << 14), bound))
             g = next((h for r in primes if (h := math.gcd(pow(a, r, v) - 1, v)) > 1), v)
         if g > 1:
             return g if g < v else None
@@ -403,10 +435,11 @@ def _ecm_plan(bound: int) -> tuple[int, list[bytes]]:
     half, width = _ECM_D // 2, len(_ECM_BABIES)
     lo, hi = (_ECM_B1 + half) // _ECM_D, (bound + half) // _ECM_D
     flags = bytearray(width * max(0, hi - lo + 1))
-    for primes in _segments(_ECM_B1, bound):
-        for q in primes:
-            m = (q + half) // _ECM_D
-            flags[(m - lo) * width + index[abs(q - m * _ECM_D)]] = 1
+    q = _ECM_B1 | 1
+    for s in _stage_two(bound)[0]:
+        q += 2 * s
+        m = (q + half) // _ECM_D
+        flags[(m - lo) * width + index[abs(q - m * _ECM_D)]] = 1
     starts = range(0, len(flags), width)
     return lo, [bytes(itertools.compress(range(width), flags[i : i + width])) for i in starts]
 
@@ -418,9 +451,10 @@ def _ecm_cost(bound: int) -> int:
     return _exponent(_ECM_B1).bit_length() + sum(map(len, _ecm_plan(bound)[1]))
 
 
-def _ecm(v: int, sigma: int, bound: int) -> int | None:
-    """One ECM curve, Suyama's sigma, with B2 = bound on an odd composite
-    v: a proper divisor of v, or None.  Stage 2 brings every baby and giant
+def _ecm(v: int, sigma: int, plan: tuple[int, list[bytes]]) -> int | None:
+    """One ECM curve, Suyama's sigma, with the stage 2 of plan =
+    _ecm_plan(B2) on an odd composite v: a proper divisor of v, or None.
+    The curve depends on nothing else.  Stage 2 brings every baby and giant
     step to Z = 1 by one batched inversion, which leaves one product per
     (m, j) term.  A gcd of 1 or of v finds nothing."""
     u, w = sigma * sigma - 5, 4 * sigma
@@ -430,7 +464,7 @@ def _ecm(v: int, sigma: int, bound: int) -> int | None:
         q = _ladder((u**3 * pow(w**3, -1, v) % v, 1), _exponent(_ECM_B1), a24, v)
         g = math.gcd(q[1], v)
     if g == 1:
-        lo, rows = _ecm_plan(bound)
+        lo, rows = plan
         points, q2 = [], _xdbl(q, a24, v)
         prev, cur = q, _xadd(q2, q, q, v)  # j*Q and (j + 2)*Q
         for j in range(1, _ECM_D // 2, 2):
@@ -461,6 +495,129 @@ def _ecm(v: int, sigma: int, bound: int) -> int | None:
     return g if 1 < g < v else None
 
 
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _ecm_curves(v: int, bound: int, count: int) -> tuple[int | None, int]:
+    """ECM curves sigma = 6, 7, ..., 5 + count with B2 = bound on v, up to
+    the first that finds a divisor: that divisor and how many curves it
+    took, or (None, count).
+
+    The curves run in waves of W = min(usable cores, count).  This process
+    runs the first curve of each wave and W - 1 helper interpreters (see
+    _curve_helper), which live only for this call, run the others ahead of
+    need.  Results are taken strictly in sigma order, this process's own
+    before any helper's, so the answer is what one loop over sigma would
+    give, whatever W is.  A helper that cannot start leaves its curves to
+    the others; one that dies or gives a malformed answer is stopped and
+    this process runs its curves.  Every helper is killed and reaped before
+    this returns or raises.
+
+    The helpers get their jobs only after this process's first curve: by
+    then they have started up, so sending never waits on them, and when
+    sigma = 6 splits v they are sent nothing.
+    """
+    plan = _ecm_plan(bound)
+    helpers: list = [None]  # slot 0, the first curve of each wave, is ours
+    try:
+        _start_helpers(helpers, count)
+        for i in range(count):
+            sigma, slot = 6 + i, i % len(helpers)
+            if i == 1:
+                _send_jobs(helpers, v, plan, count)
+            g = _helper_answer(helpers, slot, sigma, v)
+            if g is None:  # our turn, or the helper failed
+                g = _ecm(v, sigma, plan)
+            if g:
+                return g, i + 1
+        return None, count
+    finally:
+        for proc in helpers:
+            if proc is not None:
+                _stop(proc)
+
+
+def _start_helpers(helpers: list, count: int) -> None:
+    """Append to helpers up to min(usable cores, count) - 1 helper
+    processes, stopping at the first that cannot start."""
+    wanted = min(_usable_cores(), count) - 1
+    if wanted < 1:
+        return
+    import subprocess
+
+    # -m finds the package in the directory this process imported it from.
+    home = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    command = [sys.executable, "-m", __name__]
+    for _ in range(wanted):
+        try:
+            helpers.append(
+                subprocess.Popen(
+                    command, cwd=home, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL
+                )
+            )
+        except OSError:
+            break
+
+
+def _send_jobs(helpers: list, v: int, plan: tuple[int, list[bytes]], count: int) -> None:
+    """Send each helper its job: v, the plan (so no helper sieves to B2)
+    and its sigmas, every len(helpers)-th from 6 + its slot.  The job is
+    pickled, which writes v in binary, so the int-to-decimal digit limit
+    never applies."""
+    import pickle
+
+    for slot in range(1, len(helpers)):
+        job = (v, plan, range(6 + slot, 6 + count, len(helpers)))
+        try:
+            with helpers[slot].stdin as pipe:
+                pickle.dump(job, pipe)
+        except OSError:  # it died: its answers will be missing
+            pass
+
+
+def _helper_answer(helpers: list, slot: int, sigma: int, v: int) -> int | None:
+    """The helper in slot's result for curve sigma: a proper divisor of v,
+    or 0 for none.  None when the slot has no helper, or when its answer is
+    missing or malformed; that helper is then stopped and the slot
+    emptied."""
+    proc = helpers[slot]
+    if proc is None:
+        return None
+    fields = proc.stdout.readline().split()
+    try:
+        if len(fields) == 2 and int(fields[0]) == sigma:
+            g = int(fields[1], 16)
+            if g == 0 or (1 < g < v and v % g == 0):
+                return g
+    except ValueError:
+        pass
+    _stop(proc)
+    helpers[slot] = None
+    return None
+
+
+def _stop(proc) -> None:
+    """Kill a helper, close its pipes and reap it."""
+    with proc:
+        proc.kill()
+
+
+def _curve_helper() -> None:
+    """A helper process of _ecm_curves: read the job (v, plan, sigmas)
+    pickled on stdin, and for each sigma in turn write the line
+    "sigma divisor" to stdout, the divisor in hex and 0 for none."""
+    import pickle
+
+    v, plan, sigmas = pickle.load(sys.stdin.buffer)
+    for sigma in sigmas:
+        print(sigma, format(_ecm(v, sigma, plan) or 0, "x"), flush=True)
+
+
 def _factor_with_rho(
     value: int,
     stats: FactorStats,
@@ -479,9 +636,12 @@ def _factor_with_rho(
 
     Given d, a composite piece whose budget left covers 2C (C =
     _pm1_cost(bound)) gets rho seed 1 for at most C iterations, then if
-    need be _pm1, charged C, then ECM curves sigma = 6, 7, ..., each
-    charged _ecm_cost(bound), while the budget left covers one, before
-    rho seeds 2, 3, ... take what is left.
+    need be _pm1, charged C, then ECM curves sigma = 6, 7, ..., as many as
+    the budget left covers at _ecm_cost(bound) each, up to the first that
+    splits it (see _ecm_curves), before rho seeds 2, 3, ... take what is
+    left.  The curves run on every usable core; which one splits the
+    piece, and so the divisor and the charge, does not depend on how many
+    there are.
     """
     leftover = 1
     stack = [(value, 1)]
@@ -500,11 +660,10 @@ def _factor_with_rho(
                 if divisor is None:
                     divisor = _pm1(v, d, bound)
                     stats.rho_iterations += cost
-                sigma = 6
-                while divisor is None and ceiling - stats.rho_iterations >= (cost := _ecm_cost(bound)):
-                    divisor = _ecm(v, sigma, bound)
-                    stats.rho_iterations += cost
-                    sigma += 1
+                if divisor is None:
+                    cost = _ecm_cost(bound)
+                    divisor, curves = _ecm_curves(v, bound, (ceiling - stats.rho_iterations) // cost)
+                    stats.rho_iterations += curves * cost
                 seed = 2
             while divisor is None and stats.rho_iterations < ceiling:
                 divisor = _rho_brent(v, seed, stats, ceiling, ring)
@@ -706,3 +865,7 @@ def factor_mersenne(
     if cache is not None:
         result = cache.add_primes(n, result.primes(), leftover)
     return result
+
+
+if __name__ == "__main__":
+    _curve_helper()

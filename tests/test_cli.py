@@ -9,6 +9,7 @@ import pytest
 
 import mersenne_omega
 from mersenne_omega import FactorCache, cli, save_cache
+from mersenne_omega.arith import mersenne
 from mersenne_omega.cli import main
 
 
@@ -243,6 +244,47 @@ def test_import_and_cached_factor(capsys, tmp_path):
     assert code == 0
     assert out == "23^1\n89^1\n"
     assert "cache_hits: 1" in err
+
+
+def _decimal(x: int) -> str:
+    """str(x) past CPython's int -> str digit limit, which stays as it was."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int <-> str digit limit"
+)
+
+
+@needs_digit_limit
+def test_factor_prints_a_partial_cofactor_past_the_digit_limit(capsys):
+    # M_16001 (16001 is prime) stays whole at this budget: 4817 digits.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "factor", "16001", "--budget-rho", "10")
+    assert code == 3
+    assert "status: partial" in err
+    assert f"cofactor {_decimal(mersenne(16001))}\n" in out + err
+    assert sys.get_int_max_str_digits() == limit
+
+
+@needs_digit_limit
+def test_import_saves_and_reloads_a_cofactor_past_the_digit_limit(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    table, cache_path = tmp_path / "known.txt", tmp_path / "cache.json"
+    # The second import loads what the first saved.
+    for line in ("20000 3\n", "20000 5\n"):
+        table.write_text(line)
+        code, out, err = run(capsys, "import", str(table), "--cache", str(cache_path))
+        assert (code, out, err) == (0, "accepted: 1\nrejected: 0\n", "")
+    [entry] = json.loads(cache_path.read_text())["entries"]
+    assert entry["factors"] == [["3", 1], ["5", 5]]  # 5^4 divides 20000
+    assert entry["cofactor"] == _decimal(mersenne(20000) // (3 * 5**5))
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_import_requires_cache(capsys, monkeypatch):

@@ -1,6 +1,11 @@
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -488,13 +493,191 @@ def test_ecm_curve_returns_a_proper_divisor_or_none():
     outcomes = set()
     for v in (7 * 13, 1000003 * 1000033, (1 << 64) + 1):
         for sigma in range(6, 10):
-            g = factoring._ecm(v, sigma, 20_000)
+            g = factoring._ecm(v, sigma, factoring._ecm_plan(20_000))
             assert g is None or (1 < g < v and v % g == 0), (v, sigma, g)
             outcomes.add(g is None)
     assert outcomes == {True, False}
-    m = mersenne(137)
-    assert factoring._ecm(m, 22, DEFAULT_BUDGET.trial_division_bound) is None
-    assert factoring._ecm(m, 23, DEFAULT_BUDGET.trial_division_bound) == 32032215596496435569
+    m, plan = mersenne(137), factoring._ecm_plan(DEFAULT_BUDGET.trial_division_bound)
+    assert factoring._ecm(m, 22, plan) is None
+    assert factoring._ecm(m, 23, plan) == 32032215596496435569
+
+
+@pytest.mark.parametrize("b1", [1, 2, 16, factoring._ECM_B1, factoring._PM1_B1])
+def test_exponent_is_the_product_of_the_prime_powers(b1):
+    assert factoring._exponent(b1) == math.prod(factoring._prime_powers(b1))
+
+
+@pytest.mark.parametrize(
+    "bound", [factoring._ECM_B1 // 2, factoring._ECM_B1, 50_000, factoring._PM1_B1, 278557, 2 * 10**6]
+)
+def test_stage_two_table_lists_the_primes_and_pm1_segments(bound):
+    gaps, cuts = factoring._stage_two(bound)
+    primes = list(itertools.accumulate((2 * s for s in gaps), initial=factoring._ECM_B1 | 1))[1:]
+    assert primes == arith._sieve(factoring._ECM_B1, bound)
+    segments = [len(arith._sieve(factoring._ECM_B1, min(bound, factoring._PM1_B1)))]
+    segments += map(len, factoring._segments(factoring._PM1_B1, bound))
+    assert cuts == list(itertools.accumulate(segments))
+
+
+def test_pm1_walks_the_stage_two_table_without_sieving(monkeypatch):
+    m = mersenne(101)
+    factoring._stage_two(278557)
+
+    def no_sieve(*args):
+        raise AssertionError("sieved again")
+
+    monkeypatch.setattr(factoring, "_segments", no_sieve)
+    monkeypatch.setattr(factoring, "_sieve", no_sieve)
+    assert factoring._pm1(m, 101, 278557) == 7432339208719
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Every helper process the ECM runner starts, in order."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
+def _force_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def _reaped(procs) -> bool:
+    return all(p.returncode is not None and p.stdout.closed and p.stdin.closed for p in procs)
+
+
+def _parent_curves(monkeypatch) -> list:
+    """The sigmas of the curves this process runs itself."""
+    sigmas = []
+    ecm = factoring._ecm
+
+    def recording(v, sigma, plan):
+        sigmas.append(sigma)
+        return ecm(v, sigma, plan)
+
+    monkeypatch.setattr(factoring, "_ecm", recording)
+    return sigmas
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+@pytest.mark.parametrize("n", [137, 149])
+def test_ecm_results_and_charges_do_not_depend_on_the_cores(monkeypatch, helpers, published_runs, n, cores):
+    _force_cores(monkeypatch, cores)
+    stats = FactorStats()
+    assert (factor_mersenne(n, SWEEP_BUDGET, stats=stats), stats) == published_runs[n][0]
+    assert len(helpers) == cores - 1 and _reaped(helpers)
+
+
+# 10003891, 10008511 and 10016309: at B2 = 20000, curve 6 finds nothing,
+# curve 7 finds 10003891 and curve 8 finds 10016309.
+THREE_PRIMES = 10003891 * 10008511 * 10016309
+
+
+def test_ecm_takes_the_earlier_of_two_curves_that_split(monkeypatch, helpers):
+    _force_cores(monkeypatch, 3)
+    parent = _parent_curves(monkeypatch)
+    assert factoring._ecm_curves(THREE_PRIMES, 20_000, 6) == (10003891, 2)
+    assert parent == [6] and len(helpers) == 2 and _reaped(helpers)
+
+
+def test_ecm_takes_its_own_curve_before_a_helper_answer(monkeypatch, helpers):
+    # Curve 6 finds 10012841 and curve 7 a product of the other two.
+    _force_cores(monkeypatch, 2)
+    parent = _parent_curves(monkeypatch)
+    v = 10000967 * 10012841 * 10014307
+    assert factoring._ecm_curves(v, 20_000, 6) == (10012841, 1)
+    assert parent == [6] and len(helpers) == 1 and _reaped(helpers)
+
+
+def test_a_helper_that_cannot_start_leaves_the_waves_narrower(monkeypatch, helpers):
+    # Three cores, but the second helper fails to start: waves of two.
+    _force_cores(monkeypatch, 3)
+    parent = _parent_curves(monkeypatch)
+    recorded = subprocess.Popen
+
+    def second_fails(*args, **kwargs):
+        if helpers:
+            raise OSError("no more processes")
+        return recorded(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", second_fails)
+    assert factoring._ecm_curves(THREE_PRIMES, 20_000, 6) == (10003891, 2)
+    assert parent == [6] and len(helpers) == 1 and _reaped(helpers)
+
+
+@pytest.mark.parametrize("fault", ["dies", "garbles"])
+def test_a_helper_fault_mid_stage_leaves_the_result(monkeypatch, helpers, published_runs, fault):
+    # The helper answers curve 7, then garbles its answer to 9, or dies
+    # before this process reads it; this process then runs the helper's
+    # curves itself, up to 23, which splits M_137.  Answers a dying helper
+    # wrote before it died are still read.
+    _force_cores(monkeypatch, 2)
+    parent = _parent_curves(monkeypatch)
+    answer = factoring._helper_answer
+
+    def faulty(procs, slot, sigma, v):
+        if sigma == 9 and procs[slot] is not None:
+            if fault == "dies":
+                procs[slot].kill()
+                procs[slot].wait()
+            else:
+                procs[slot].stdout.readline()
+                monkeypatch.setattr(procs[slot].stdout, "readline", lambda: b"9 zz\n")
+        return answer(procs, slot, sigma, v)
+
+    monkeypatch.setattr(factoring, "_helper_answer", faulty)
+    stats = FactorStats()
+    assert (factor_mersenne(137, SWEEP_BUDGET, stats=stats), stats) == published_runs[137][0]
+    if fault == "garbles":
+        assert parent == [6, 8, *range(9, 24)]
+    assert parent[:2] == [6, 8] and parent[-2:] == [22, 23]
+    assert len(helpers) == 1 and _reaped(helpers)
+
+
+def test_helpers_are_reaped_when_the_curves_run_out(monkeypatch, helpers):
+    _force_cores(monkeypatch, 3)
+    assert factoring._ecm_curves(mersenne(137), 20_000, 3) == (None, 3)
+    assert len(helpers) == 2 and _reaped(helpers)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_helpers_are_reaped_when_a_curve_raises(monkeypatch, helpers, error):
+    _force_cores(monkeypatch, 3)
+
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(factoring, "_ecm", failing)
+    with pytest.raises(error):
+        factoring._ecm_curves(THREE_PRIMES, 20_000, 6)
+    assert len(helpers) == 2 and _reaped(helpers)
+
+
+def test_runner_leaves_no_resource_warning():
+    # -X dev and -W error turn an unclosed pipe or an unreaped helper into
+    # a warning printed on stderr.
+    script = (
+        "import os; os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+        "from mersenne_omega import factoring\n"
+        f"assert factoring._ecm_curves({THREE_PRIMES}, 20_000, 6) == (10003891, 2)\n"
+        "assert factoring._ecm_curves(factoring.mersenne(137), 20_000, 3) == (None, 3)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(factoring.__file__).resolve().parent.parent)}
+    run = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 # Prime n such as 101 send no value >= 2^64 to is_probable_prime at all;
