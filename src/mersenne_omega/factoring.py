@@ -268,8 +268,8 @@ def _rho_brent(
 
 
 # Pollard p-1 for the pieces of Phi_d(2), whose primes q all have d | q - 1.
-# Stage 1 raises 3 to 2d times each prime power up to _PM1_B1, stage 2 then
-# to each prime in (_PM1_B1, B2] in turn (base 2 has order d modulo q).
+# Stage 1 raises 3 to 2d times each prime power up to _PM1_B1 (base 2 has
+# order d modulo q); stage 2 walks ECM's baby-step/giant-step plan (_pm1).
 _PM1_B1 = 1 << 16
 
 
@@ -323,37 +323,21 @@ def _prime_count(x: int) -> int:
 @functools.cache
 def _pm1_cost(bound: int) -> int:
     """C, the work units a _pm1 run with B2 = bound charges: the stage-1
-    exponent's bits plus the stage-2 primes, 236,840 at the default bound.
-    The primes are counted, not sieved, so the gate costs no sieve to B2."""
+    exponent's bits plus pi(bound) - pi(_PM1_B1), 236,840 at the default
+    bound.  Stage 2 walks _ecm_plan(bound) instead, but C still counts those
+    primes, so the gate stays put (ROADMAP item 3 recalibrates it).  They
+    are counted, not sieved, so the gate costs no sieve to B2."""
     return _exponent(_PM1_B1).bit_length() + max(0, _prime_count(bound) - _prime_count(_PM1_B1))
-
-
-@functools.cache
-def _stage_two(bound: int) -> tuple[bytes, list[int]]:
-    """The stage-2 primes of ECM and p-1, those in (_ECM_B1, bound], sieved
-    once per bound into gaps: byte i is half the gap to prime i from the one
-    before (from _ECM_B1 | 1, odd, for i = 0).  A byte per prime holds the
-    147k primes of the default bound in 147 KB, where a list of ints would
-    take about 5 MB; half-gaps fit a byte below 3 * 10^11.  p-1 takes one
-    gcd per sieve segment of _segments(_PM1_B1, bound): cuts[0] indexes its
-    first prime and cuts[k + 1] the first prime past segment k.
-    """
-    gaps, cuts, last = bytearray(), [], _ECM_B1 | 1
-    below = _sieve(_ECM_B1, min(bound, _PM1_B1))  # below p-1's stage 2
-    for primes in itertools.chain([below], _segments(_PM1_B1, bound)):
-        for q in primes:
-            gaps.append((q - last) >> 1)
-            last = q
-        cuts.append(len(gaps))
-    return bytes(gaps), cuts
 
 
 def _pm1(v: int, d: int, bound: int) -> int | None:
     """Pollard p-1 with B2 = bound on a composite piece v of Phi_d(2): a
-    proper divisor of v, or None.  Stage 2 steps from prime to prime by
-    their gaps (see _stage_two) and takes a gcd once per segment.  A gcd of
-    v is retraced one prime power or prime at a time, so no divisor is
-    lost."""
+    proper divisor of v, or None.  The intrinsic prime is gone from v and
+    d >= 3, so v is coprime to 3 and stage 1's a is invertible.  Stage 2
+    walks _ecm_plan(bound) in V_k = a^k + a^-k (Montgomery 1987): a prime
+    p | v divides V_mD - V_j exactly when a^(mD - j) or a^(mD + j) is 1
+    modulo p.  A gcd of v is retraced one prime power (stage 1) or term
+    (_pairs) at a time."""
     a = pow(3, 2 * d * _exponent(_PM1_B1), v)
     g = math.gcd(a - 1, v)
     if g == v:
@@ -361,22 +345,10 @@ def _pm1(v: int, d: int, bound: int) -> int | None:
         g = next((h for q in _prime_powers(_PM1_B1) if (h := math.gcd((b := pow(b, q, v)) - 1, v)) > 1))
     if g > 1:
         return g if g < v else None
-    gaps, cuts = _stage_two(bound)
-    steps: dict[int, int] = {}  # s: a^(2s)
-    x = pow(a, (_ECM_B1 | 1) + 2 * sum(gaps[: cuts[0]]), v)  # a^r, r the last prime <= _PM1_B1
-    for k in range(len(cuts) - 1):
-        acc = 1
-        for s in gaps[cuts[k] : cuts[k + 1]]:
-            x = x * (steps.get(s) or steps.setdefault(s, pow(a, 2 * s, v))) % v
-            acc = acc * (x - 1) % v
-        g = math.gcd(acc, v)
-        if g == v:
-            lo = _PM1_B1 + (k << 14)
-            primes = _sieve(lo, min(lo + (1 << 14), bound))
-            g = next((h for r in primes if (h := math.gcd(pow(a, r, v) - 1, v)) > 1), v)
-        if g > 1:
-            return g if g < v else None
-    return None
+    inverse, plan = pow(a, -1, v), _ecm_plan(bound)
+    step = (pow(a, _ECM_D, v) + pow(inverse, _ECM_D, v)) % v  # V_D
+    points = _steps(plan, (a + inverse) % v, step, lambda x, y, z: (x * y - z) % v, lambda x: (x * x - 2) % v)
+    return _pairs(v, points, plan[1])
 
 
 # ECM (Lenstra 1987) on Montgomery curves B y^2 = x^3 + A x^2 + x in x-only
@@ -428,20 +400,52 @@ def _ladder(p: tuple[int, int], k: int, a24: int, v: int) -> tuple[int, int]:
 
 @functools.cache
 def _ecm_plan(bound: int) -> tuple[int, list[bytes]]:
-    """Stage 2 up to B2 = bound: the first giant step lo, and for each
-    m = lo, lo + 1, ... the bytes of the indices into _ECM_BABIES of the j
-    with m*D + j or m*D - j a prime in (_ECM_B1, bound]."""
+    """The stage 2 of p-1 and ECM up to B2 = bound: the first giant step lo,
+    and for each m = lo, lo + 1, ... the bytes of the indices into
+    _ECM_BABIES of the j with m*D + j or m*D - j a prime in (_ECM_B1, bound],
+    which are sieved a segment at a time, never held as one list."""
     index = {j: i for i, j in enumerate(_ECM_BABIES)}
     half, width = _ECM_D // 2, len(_ECM_BABIES)
     lo, hi = (_ECM_B1 + half) // _ECM_D, (bound + half) // _ECM_D
     flags = bytearray(width * max(0, hi - lo + 1))
-    q = _ECM_B1 | 1
-    for s in _stage_two(bound)[0]:
-        q += 2 * s
-        m = (q + half) // _ECM_D
-        flags[(m - lo) * width + index[abs(q - m * _ECM_D)]] = 1
+    for primes in _segments(_ECM_B1, bound):
+        for q in primes:
+            m = (q + half) // _ECM_D
+            flags[(m - lo) * width + index[abs(q - m * _ECM_D)]] = 1
     starts = range(0, len(flags), width)
     return lo, [bytes(itertools.compress(range(width), flags[i : i + width])) for i in starts]
+
+
+def _steps(plan: tuple[int, list[bytes]], q, step, add, double) -> list:
+    """The baby steps j*q for j in _ECM_BABIES, then a giant step m*step,
+    step = D*q, per row of plan = (lo, rows) from m = lo on; add(p, r, p - r)
+    is p + r and double(p) is 2p."""
+    lo, rows = plan
+    q2, end = double(q), lo - 1 + len(rows)
+    odd = [q, add(q2, q, q)]  # j*q for odd j
+    while len(odd) < _ECM_D // 4:
+        odd.append(add(odd[-1], q2, odd[-2]))
+    giants = [step, double(step)]
+    while len(giants) < end:
+        giants.append(add(giants[-1], step, giants[-2]))
+    return [odd[j // 2] for j in _ECM_BABIES] + giants[lo - 1 : end]
+
+
+def _pairs(v: int, points: list[int], rows: list[bytes]) -> int | None:
+    """Stage 2 of p-1 and ECM on the points of _steps as residues modulo v:
+    a proper divisor of v, or None.  Each row multiplies giant - baby over
+    its terms and takes a gcd; a gcd of v is retraced one term at a time."""
+    babies = points[: len(_ECM_BABIES)]
+    for x, row in zip(points[len(_ECM_BABIES) :], rows):
+        acc = 1
+        for i in row:
+            acc = acc * (x - babies[i]) % v
+        g = math.gcd(acc, v)
+        if g == v:
+            g = next(h for i in row if (h := math.gcd(x - babies[i], v)) > 1)
+        if g > 1:
+            return g if g < v else None
+    return None
 
 
 @functools.cache
@@ -455,8 +459,9 @@ def _ecm(v: int, sigma: int, plan: tuple[int, list[bytes]]) -> int | None:
     """One ECM curve, Suyama's sigma, with the stage 2 of plan =
     _ecm_plan(B2) on an odd composite v: a proper divisor of v, or None.
     The curve depends on nothing else.  Stage 2 brings every baby and giant
-    step to Z = 1 by one batched inversion, which leaves one product per
-    (m, j) term.  A gcd of 1 or of v finds nothing."""
+    step to Z = 1 by one batched inversion, then walks the plan as p-1 does
+    (_pairs), retracing a gcd of v one term at a time; before it, a gcd of
+    v finds nothing."""
     u, w = sigma * sigma - 5, 4 * sigma
     g = math.gcd(u * w, v)
     if g == 1:
@@ -464,19 +469,8 @@ def _ecm(v: int, sigma: int, plan: tuple[int, list[bytes]]) -> int | None:
         q = _ladder((u**3 * pow(w**3, -1, v) % v, 1), _exponent(_ECM_B1), a24, v)
         g = math.gcd(q[1], v)
     if g == 1:
-        lo, rows = plan
-        points, q2 = [], _xdbl(q, a24, v)
-        prev, cur = q, _xadd(q2, q, q, v)  # j*Q and (j + 2)*Q
-        for j in range(1, _ECM_D // 2, 2):
-            if math.gcd(j, _ECM_D) == 1:  # j in _ECM_BABIES
-                points.append(prev)
-            prev, cur = cur, _xadd(cur, q2, prev, v)
         step = _ladder(q, _ECM_D, a24, v)
-        prev, cur = step, _xdbl(step, a24, v)  # m*D*Q and (m + 1)*D*Q
-        for m in range(1, lo + len(rows)):
-            if m >= lo:
-                points.append(prev)
-            prev, cur = cur, _xadd(cur, step, prev, v)
+        points = _steps(plan, q, step, lambda p, r, z: _xadd(p, r, z, v), lambda p: _xdbl(p, a24, v))
         prefix = [1]
         for _, z in points:
             prefix.append(prefix[-1] * z % v)
@@ -487,11 +481,7 @@ def _ecm(v: int, sigma: int, plan: tuple[int, list[bytes]]) -> int | None:
             x, z = points[i]
             points[i] = x * prefix[i] % v * inverse % v
             inverse = inverse * z % v
-        acc = 1
-        for x, row in zip(points[len(_ECM_BABIES) :], rows):
-            for i in row:
-                acc = acc * (x - points[i]) % v
-        g = math.gcd(acc, v)
+        return _pairs(v, points, plan[1])
     return g if 1 < g < v else None
 
 

@@ -180,8 +180,10 @@ def _verify_entry(n: int, factors, cofactor: int, status: str) -> Factorization:
 def load_cache(path) -> FactorCache:
     """Parse a cache file and check the shape of every entry.  Raises
     CacheError on parse failure, on a malformed document, or when any
-    entry fails the check (all offending n are listed).  The listed primes
-    are tested when each entry is first read (see FactorCache)."""
+    entry fails the check (all offending n are listed).  An entry must be
+    as save_cache writes it: an int n, int exponents, decimal strings for
+    the primes and the cofactor, and the only entry for its n.  The listed
+    primes are tested when each entry is first read (see FactorCache)."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
@@ -196,10 +198,15 @@ def load_cache(path) -> FactorCache:
     problems = []
     for raw in entries:
         try:
-            n = int(raw["n"])
-            factors = tuple((int(p), int(e)) for p, e in raw["factors"])
-            cofactor = int(raw.get("cofactor", "1"))
-            entry = _verify_entry(n, factors, cofactor, raw["status"])
+            n, pairs, cofactor = raw["n"], raw["factors"], raw.get("cofactor", "1")
+            if type(n) is not int or any(type(e) is not int for _, e in pairs):
+                raise TypeError("n and the exponents must be integers")
+            digits = [cofactor, *(p for p, _ in pairs)]
+            if not all(type(s) is str and s.isascii() and s.isdigit() for s in digits):
+                raise TypeError("the primes and the cofactor must be decimal strings")
+            if n in cache._entries:
+                raise ValueError("a second entry for this n")
+            entry = _verify_entry(n, tuple((int(p), e) for p, e in pairs), int(cofactor), raw["status"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             problems.append(f"n={raw.get('n', '?')}: {exc}")
             continue

@@ -441,12 +441,13 @@ def test_corrupt_cache_aborts_with_io_exit(capsys, tmp_path):
         '{"version": 1, "entries": [5]}',
         '{"version": 1, "entries": [{"n": 1e400, "factors": [], "status": "complete"}]}',
         '{"version": 1, "entries": [{"n": 11, "factors": [[23, 1e400], [89, 1]], "status": "complete"}]}',
+        '{"version": 1, "entries": [{"n": 11.9, "factors": [["23", 1.7], ["89", true]], "status": "complete"}]}',
     ],
 )
 def test_malformed_cache_aborts_with_io_exit(capsys, tmp_path, text):
     cache_path = tmp_path / "cache.json"
     cache_path.write_text(text)
-    code, _, err = run(capsys, "factor", "7", "--cache", str(cache_path))
+    code, _, err = run(capsys, "factor", "11", "--cache", str(cache_path))
     assert code == 4
     assert "cache error" in err
 

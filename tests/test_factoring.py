@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import random
@@ -387,8 +386,8 @@ def published_runs():
 
 
 def test_pm1_stage_one_splits_m139():
-    # bound = B1 leaves stage 2 empty.
-    assert factoring._pm1(mersenne(139), 139, factoring._PM1_B1) == 5625767248687
+    # bound = _ECM_B1 leaves stage 2 empty.
+    assert factoring._pm1(mersenne(139), 139, factoring._ECM_B1) == 5625767248687
 
 
 def test_pm1_stage_two_must_reach_278557_for_m101():
@@ -447,9 +446,10 @@ def test_piece_that_rho_splits_within_the_pm1_cost_keeps_its_counts():
 
 @pytest.mark.parametrize("bound", [factoring._PM1_B1 // 2, factoring._PM1_B1, 278557, 2 * 10**6, 5 * 10**6])
 def test_pm1_cost_counts_the_primes_stage_two_walks(bound):
+    # C counts the primes in (_PM1_B1, B2], though stage 2 walks _ecm_plan.
     bits = factoring._exponent(factoring._PM1_B1).bit_length()
-    walked = sum(map(len, factoring._segments(factoring._PM1_B1, bound)))
-    assert factoring._pm1_cost(bound) == bits + walked
+    primes = sum(map(len, factoring._segments(factoring._PM1_B1, bound)))
+    assert factoring._pm1_cost(bound) == bits + primes
 
 
 def test_prime_count_matches_the_sieve():
@@ -507,21 +507,62 @@ def test_exponent_is_the_product_of_the_prime_powers(b1):
     assert factoring._exponent(b1) == math.prod(factoring._prime_powers(b1))
 
 
-@pytest.mark.parametrize(
-    "bound", [factoring._ECM_B1 // 2, factoring._ECM_B1, 50_000, factoring._PM1_B1, 278557, 2 * 10**6]
-)
-def test_stage_two_table_lists_the_primes_and_pm1_segments(bound):
-    gaps, cuts = factoring._stage_two(bound)
-    primes = list(itertools.accumulate((2 * s for s in gaps), initial=factoring._ECM_B1 | 1))[1:]
-    assert primes == arith._sieve(factoring._ECM_B1, bound)
-    segments = [len(arith._sieve(factoring._ECM_B1, min(bound, factoring._PM1_B1)))]
-    segments += map(len, factoring._segments(factoring._PM1_B1, bound))
-    assert cuts == list(itertools.accumulate(segments))
+def _pm1_by_primes(v, d, bound):
+    """Pollard p-1 with a stage 2 that raises a to each prime r in
+    (_PM1_B1, bound] in turn, stepping by the gaps between them, with one
+    gcd per sieve segment and a segment's gcd of v retraced one prime at a
+    time: the stage 2 _pm1 had before it walked _ecm_plan, kept as the
+    reference that walk must agree with."""
+    b1 = factoring._PM1_B1
+    a = pow(3, 2 * d * factoring._exponent(b1), v)
+    g = math.gcd(a - 1, v)
+    if g == v:
+        b = pow(3, 2 * d, v)
+        g = next(h for q in factoring._prime_powers(b1) if (h := math.gcd((b := pow(b, q, v)) - 1, v)) > 1)
+    if g > 1:
+        return g if g < v else None
+    last = arith._sieve(b1 - 100, b1)[-1]
+    x, steps = pow(a, last, v), {}  # x = a^last; steps[s] = a^s
+    for primes in factoring._segments(b1, bound):
+        acc = 1
+        for r in primes:
+            x = x * (steps.get(r - last) or steps.setdefault(r - last, pow(a, r - last, v))) % v
+            acc = acc * (x - 1) % v
+            last = r
+        g = math.gcd(acc, v)
+        if g == v:
+            g = next((h for r in primes if (h := math.gcd(pow(a, r, v) - 1, v)) > 1), v)
+        if g > 1:
+            return g if g < v else None
+    return None
 
 
-def test_pm1_walks_the_stage_two_table_without_sieving(monkeypatch):
+def test_pm1_agrees_with_a_prime_by_prime_stage_two():
+    # The pieces of Phi_d(2) that the congruence scan to 2M leaves
+    # composite, for d < 150 and d = 247: stage 1 splits most, stage 2
+    # splits those of d = 101 and d = 247, and three stay whole after both.
+    found = {}
+    for d in [*range(3, 150), 247]:
+        part = next(p for p in cyclotomic.cyclotomic_split(d) if p.d == d)
+        v = part.value
+        while part.intrinsic > 1 and v % part.intrinsic == 0:
+            v //= part.intrinsic
+        for q in trial_divide_congruence(v, d, DEFAULT_BUDGET.trial_division_bound):
+            while v % q == 0:
+                v //= q
+        if v > 1 and not arith._prime_like(v):
+            found[d] = factoring._pm1(v, d, 278557), v
+            assert found[d][0] == _pm1_by_primes(v, d, 278557), d
+    assert [d for d, (g, _) in found.items() if g is None] == [137, 143, 149]
+    for d in (101, 247):
+        g, v = found[d]
+        assert g and factoring._pm1(v, d, factoring._ECM_B1) is None
+
+
+def test_pm1_walks_the_plan_without_sieving(monkeypatch):
     m = mersenne(101)
-    factoring._stage_two(278557)
+    factoring._exponent(factoring._PM1_B1)
+    factoring._ecm_plan(278557)
 
     def no_sieve(*args):
         raise AssertionError("sieved again")
@@ -529,6 +570,17 @@ def test_pm1_walks_the_stage_two_table_without_sieving(monkeypatch):
     monkeypatch.setattr(factoring, "_segments", no_sieve)
     monkeypatch.setattr(factoring, "_sieve", no_sieve)
     assert factoring._pm1(m, 101, 278557) == 7432339208719
+
+
+def test_stage_two_retraces_a_row_one_term_at_a_time():
+    # Row terms x - baby: 101 * 5, 103 and v itself, for v = 101 * 103.
+    v, width = 101 * 103, len(factoring._ECM_BABIES)
+    babies = [v - 505, v - 103, 0] + [v - 1] * (width - 3)
+    points = babies + [v, v]  # two giant steps, each v
+    assert factoring._pairs(v, points, [b"", bytes([0, 1])]) == 101
+    assert factoring._pairs(v, points, [b"", bytes([1, 0])]) == 103
+    assert factoring._pairs(v, points, [bytes([2, 0]), bytes([1])]) is None
+    assert factoring._pairs(v, points, [bytes([3]), bytes([3, 4])]) is None  # every term is 1
 
 
 @pytest.fixture

@@ -188,6 +188,12 @@ def test_load_rejects_bad_version_and_bad_json(tmp_path):
         '{"version": 1, "entries": [{"n": 1e400, "factors": [], "status": "complete"}]}',
         '{"version": 1, "entries": [{"n": 11, "factors": [[23, 1e400], [89, 1]], "status": "complete"}]}',
         '{"version": 1, "entries": [{"n": 11, "factors": [["23", 3000000], ["89", 1]], "status": "complete"}]}',
+        '{"version": 1, "entries": [{"n": 11.9, "factors": [["23", 1], ["89", 1]], "status": "complete"}]}',
+        '{"version": 1, "entries": [{"n": true, "factors": [], "status": "complete"}]}',
+        '{"version": 1, "entries": [{"n": 11, "factors": [["23", 1.7], ["89", true]], "status": "complete"}]}',
+        '{"version": 1, "entries": [{"n": 11, "factors": [[23, 1], ["89", 1]], "status": "complete"}]}',
+        '{"version": 1, "entries": [{"n": 11, "factors": [["23", 1]], "cofactor": 89, "status": "partial"}]}',
+        '{"version": 1, "entries": [{"n": 11, "factors": [["23", 1]], "cofactor": " 89", "status": "partial"}]}',
     ],
 )
 def test_load_rejects_malformed_entries(tmp_path, text):
@@ -195,6 +201,20 @@ def test_load_rejects_malformed_entries(tmp_path, text):
     path.write_text(text)
     with pytest.raises(CacheError):
         load_cache(path)
+
+
+def test_load_rejects_a_second_entry_for_one_n_and_lists_each_bad_n(tmp_path):
+    path = tmp_path / "bad.json"
+    entries = [
+        {"n": 5, "factors": [["31", 1]], "status": "complete"},
+        {"n": 5, "factors": [], "cofactor": "31", "status": "partial"},
+        {"n": 11.9, "factors": [["23", 1.7], ["89", True]], "status": "complete"},
+    ]
+    path.write_text(json.dumps({"version": 1, "entries": entries}))
+    with pytest.raises(CacheError, match=r"n=5: a second entry.*; n=11\.9: "):
+        load_cache(path)
+    path.write_text(json.dumps({"version": 1, "entries": entries[:1]}))
+    assert load_cache(path).get(5).complete
 
 
 def test_load_rejects_a_huge_exponent_without_building_the_power(tmp_path):
