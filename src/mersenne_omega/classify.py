@@ -268,14 +268,16 @@ def _clause_holds(clause: Clause, n: int, f: Factorization, n_primes: tuple) -> 
             ok = ok and s == 1 and t == 1
         return ok
     if clause is Clause.T3_III:
-        p1 = math.isqrt(n)
-        inner = factor_natural(mersenne(p1))
-        if inner.omega == 1:
-            return f.exponent_of(mersenne(p1)) == 1
-        if inner.omega == 2:
-            (p, s), (q, t) = inner.factors
-            return math.gcd(s, t) == 1 and f.exponent_of(p) == s and f.exponent_of(q) == t
-        return False
+        # M_p | M_n, so f holds every prime of M_p.
+        mp = mersenne(math.isqrt(n))
+        inner = tuple((q, e) for q, e in f.factors if mp % q == 0)
+        # M_p must be a prime or q^s * r^t with gcd(s, t) = 1, each prime
+        # carrying the same exponent in f as in M_p.
+        return (
+            len(inner) in (1, 2)
+            and Factorization(mp, inner).reconstructs()
+            and math.gcd(*(e for _, e in inner)) == 1
+        )
     # T3_IV
     mp = mersenne(integer_root(n, 3))
     outer = [e for p, e in f.factors if p != mp]

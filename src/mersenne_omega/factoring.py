@@ -777,16 +777,11 @@ def factor_mersenne(
     cache.  On budget exhaustion the composite remainder is reported in
     cofactor and status is partial.
 
-    For prime n > 2 the only part is 2^n - 1 itself.  While nothing has
-    been stripped from it, the congruence scan runs first up to 2n^2,
-    about n candidates, as many as Lucas-Lehmer has squarings.  Only when
-    that finds no factor does lucas_lehmer(n) decide primality, a proof
-    where is_probable_prime only says "probable".  Unless 2^n - 1 is then
-    prime, the scan goes on to its bound, repeating those few candidates.
-    So a 2^n - 1 with a factor that small never pays for Lucas-Lehmer,
-    and a prime one pays for no more of the scan than for Lucas-Lehmer.
-    Under the default budget the first stretch is the whole scan once
-    n >= 1000.
+    Each part is scanned once.  For prime n > 2 the only part is 2^n - 1
+    itself; when nothing has been stripped from it and the scan finds no
+    factor, lucas_lehmer(n) decides primality, a proof where
+    is_probable_prime only says "probable".  So a 2^n - 1 with a factor
+    within the scan never pays for Lucas-Lehmer.
     Every other value is tested where it is made: a part before the
     scan, and again only if the scan shrank it; a part the scan leaves as
     it was is composite by that test or by lucas_lehmer.  The scan's stop
@@ -833,16 +828,10 @@ def factor_mersenne(
         if not whole and _prime_like(v, part.d):
             counts[v] += 1
             continue
-        limit = min(bound, v)
-        # Up to 2n^2 there are about as many candidates as lucas_lehmer(n)
-        # has squarings: the whole 2^n - 1 is scanned that far first.
-        first = min(limit, 2 * n * n) if whole else limit
-        found = trial_divide_congruence(v, part.d, first, stats)
+        found = trial_divide_congruence(v, part.d, min(bound, v), stats)
         if whole and not found and lucas_lehmer(n):
             counts[v] += 1
             continue
-        if first < limit:
-            found = trial_divide_congruence(v, part.d, limit, stats)
         for q in found:
             while v % q == 0:
                 v //= q

@@ -262,6 +262,51 @@ def test_verify_structure_examples():
         assert report.consistent, n
 
 
+def _refuse(n):
+    raise AssertionError(f"factored {n}")
+
+
+M137_PRIMES = (32032215596496435569, 5439042183600204290159)
+
+
+def test_t3_iii_reads_m_p_off_the_factorization(monkeypatch):
+    # factor_natural spends its whole default budget on 2^137 - 1 and
+    # finds no prime; the factorization of M_(137^2) already holds both.
+    monkeypatch.setattr(classify, "factor_natural", _refuse)
+    n = 137**2
+    f = Factorization(mersenne(n), tuple((q, 1) for q in (*M137_PRIMES, mersenne(n) // mersenne(137))))
+    assert classify._clause_holds(Clause.T3_III, n, f, (137,))
+
+
+@pytest.mark.parametrize(
+    "p, factors",
+    [
+        (5, ((31, 2), (601, 1), (1801, 1))),  # 31^2 is not 2^5 - 1
+        # The second prime of 2^137 - 1 is hidden in a composite "prime".
+        (137, ((M137_PRIMES[0], 1), (M137_PRIMES[1] * (mersenne(137**2) // mersenne(137)), 1))),
+    ],
+    ids=["exponent", "missing"],
+)
+def test_t3_iii_fails_when_the_primes_of_m_p_do_not_rebuild_it(monkeypatch, p, factors):
+    monkeypatch.setattr(classify, "factor_natural", _refuse)
+    f = Factorization(mersenne(p * p), factors)
+    assert not classify._clause_holds(Clause.T3_III, p * p, f, (p,))
+
+
+def test_verify_structure_factors_only_n(monkeypatch):
+    seen = Counter()
+    original = classify.factor_natural
+
+    def counting(x):
+        seen[x] += 1
+        return original(x)
+
+    monkeypatch.setattr(classify, "factor_natural", counting)
+    report = verify_structure(25, factor_mersenne(25))
+    assert (report.matched_clause, report.consistent) == (Clause.T3_III, True)
+    assert seen == {25: 1}
+
+
 def test_verify_structure_large_omega_has_no_clause():
     report = verify_structure(12, factor_mersenne(12))
     assert report.omega == 4

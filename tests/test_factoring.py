@@ -423,8 +423,8 @@ def test_ecm_charges_each_curve_up_to_the_one_that_splits(published_runs):
     # prime on curve sigma = 23 of M_137 and sigma = 25 of M_149.
     cost = factoring._ecm_cost(SWEEP_BUDGET.trial_division_bound)
     assert cost == 15876 + 121349
-    assert published_runs[137][0][1] == FactorStats(473638 + 18 * cost, 1, 3717, 0)
-    assert published_runs[149][0][1] == FactorStats(473638 + 20 * cost, 1, 3429, 0)
+    assert published_runs[137][0][1] == FactorStats(473638 + 18 * cost, 1, 3649, 0)
+    assert published_runs[149][0][1] == FactorStats(473638 + 20 * cost, 1, 3355, 0)
 
 
 @pytest.mark.parametrize("n", [137, 149])
@@ -750,13 +750,13 @@ def test_factor_mersenne_tests_no_big_value_three_times(monkeypatch, n):
 
 
 def _count_calls(monkeypatch, module, name) -> Counter:
-    """Replace module.name with a wrapper that counts its arguments."""
+    """Replace module.name with a wrapper that counts its first arguments."""
     seen = Counter()
     original = getattr(module, name)
 
-    def counting(x):
+    def counting(x, *rest):
         seen[x] += 1
-        return original(x)
+        return original(x, *rest)
 
     monkeypatch.setattr(module, name, counting)
     return seen
@@ -792,7 +792,7 @@ def test_composite_mersenne_number_goes_on_after_lucas_lehmer(monkeypatch, p, fa
     assert mersenne(p) not in tested
 
 
-@pytest.mark.parametrize("p", [11, 23, 1013, 1019, 1031])
+@pytest.mark.parametrize("p", [11, 23, 41, 59, 71, 1013, 1019, 1031])
 def test_scan_factor_spares_lucas_lehmer(monkeypatch, p):
     # Each of these 2^p - 1 has a prime factor below the scan bound.
     def refuse(_):
@@ -805,11 +805,29 @@ def test_scan_factor_spares_lucas_lehmer(monkeypatch, p):
 
 
 @pytest.mark.parametrize("p", [31, 61, 127, 521])
-def test_prime_mersenne_number_pays_for_a_short_scan_only(p):
-    # Lucas-Lehmer runs once the scan has passed 2p^2, fewer than p candidates.
+def test_prime_mersenne_number_pays_for_a_short_scan_only(monkeypatch, p):
+    # One scan, to the square root of 2^31 - 1 or to the 2 * 10^6 bound,
+    # then one Lucas-Lehmer run.
+    scans = _count_calls(monkeypatch, factoring, "trial_divide_congruence")
+    lucas_lehmer = _count_calls(monkeypatch, factoring, "lucas_lehmer")
     stats = FactorStats()
     assert factor_mersenne(p, stats=stats).factors == ((mersenne(p), 1),)
-    assert 0 < stats.trial_candidates < p
+    assert scans == {mersenne(p): 1} and lucas_lehmer == {p: 1}
+    assert stats.trial_candidates == {31: 373, 61: 8196, 127: 3937, 521: 959}[p]
+
+
+def test_factor_mersenne_scans_each_part_at_most_once(monkeypatch):
+    original, scanned = factoring.trial_divide_congruence, Counter()
+
+    def counting(target, d, limit, stats=None):
+        scanned[d] += 1
+        return original(target, d, limit, stats)
+
+    monkeypatch.setattr(factoring, "trial_divide_congruence", counting)
+    for n in range(2, 401):
+        scanned.clear()
+        factor_mersenne(n, Budget(rho_iterations_max=1 << 14))
+        assert all(k == 1 for k in scanned.values()), n
 
 
 def test_scan_goes_on_past_2p_squared_after_a_factor():

@@ -2,13 +2,15 @@
 
 Run as ``python tools/digests.py`` from a checkout.  It factors three
 fixed sets of indices, each n with no cache and a fresh FactorStats, and
-prints for each set the SHA-256 of the lines
+prints two digests for each set, the SHA-256 of the lines
 
-    repr((n, factors, cofactor, rho_iterations, rho_calls, trial_candidates, cache_hits))
+    results:  repr((n, factors, cofactor))
+    counters: repr((n, rho_iterations, rho_calls, trial_candidates, cache_hits))
 
 in ascending n, joined by newlines.  Two checkouts that print the same
-digest for a set gave byte-identical factors, cofactors and work counters
-on every index in it.  The sets:
+results digest for a set gave byte-identical factors and cofactors on
+every index in it, whatever work they counted on the way; equal counters
+digests say the work was the same too.  The sets:
 
 - sweep: n = 2..160 at a rho budget of 2^22, the sweep workload's inputs;
 - small: n = 2..400 at 2^14, where no piece reaches p-1 or ECM;
@@ -39,14 +41,19 @@ def bigprime_indices() -> list[int]:
     return sorted(always + workloads.spaced(pool, workloads.BIGPRIME_STRATA))
 
 
-def digest(indices, rho: int) -> str:
-    budget, lines = Budget(rho_iterations_max=rho), []
+def sha256(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def digests(indices, rho: int) -> tuple[str, str]:
+    """(results digest, counters digest) of one set."""
+    budget, results, counters = Budget(rho_iterations_max=rho), [], []
     for n in sorted(indices):
         stats = FactorStats()
         f = factor_mersenne(n, budget, stats=stats)
-        counters = tuple(getattr(stats, name) for name in FactorStats.__slots__)
-        lines.append(repr((n, f.factors, f.cofactor, *counters)))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        results.append(repr((n, f.factors, f.cofactor)))
+        counters.append(repr((n, *(getattr(stats, name) for name in FactorStats.__slots__))))
+    return sha256(results), sha256(counters)
 
 
 def main() -> None:
@@ -57,8 +64,9 @@ def main() -> None:
     )
     for name, indices, rho in sets:
         start = time.perf_counter()
-        value = digest(indices, rho)
-        print(f"{name:8} {len(indices):3} indices at rho {rho}: {value}  ({time.perf_counter() - start:.1f} s)")
+        results, counters = digests(indices, rho)
+        elapsed = time.perf_counter() - start
+        print(f"{name:8} {len(indices):3} indices at rho {rho}: results {results} counters {counters}  ({elapsed:.1f} s)")
 
 
 if __name__ == "__main__":
