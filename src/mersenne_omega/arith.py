@@ -29,7 +29,8 @@ class Verdict(enum.Enum):
     """Outcome of a primality check.
 
     PRIME and COMPOSITE are proven (only issued below 2^64, where the
-    witness set is known exhaustive, or when an explicit factor exists).
+    tests run for each range are proven exact, or when an explicit factor
+    exists).
     PROBABLE_PRIME is the strongest claim made at or above 2^64.
     """
 
@@ -62,9 +63,17 @@ def mod_mersenne(x: int, n: int) -> int:
     return 0 if x == m else x
 
 
-# Strong-pseudoprime witness set proven exhaustive for x < 2^64
-# (Sinclair's seven bases).
-_BASES_BELOW_2_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+# Strong-test bases per range, each proven to leave no strong pseudoprime
+# below its bound: (2, 3) and (2, 3, 5) by Pomerance, Selfridge and
+# Wagstaff (1980), (2, 7, 61) by Jaeschke (1993).  From the last bound to
+# 2^64 one strong base-2 test and one strong Lucas test (BPSW) decide:
+# no base-2 strong pseudoprime below 2^64 (Feitsma's list, checked by
+# Gilchrist in 2009) passes the strong Lucas test.
+_STRONG_BASES = (
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (4_759_123_141, (2, 7, 61)),
+)
 _TWO_64 = 1 << 64
 
 # Seed and round count for the extra witness rounds above 2^64.  Fixed so
@@ -157,32 +166,34 @@ def _is_strong_lucas_probable_prime(x: int) -> bool:
 def is_probable_prime(x: int) -> Verdict:
     """Classify x as PRIME, COMPOSITE, or PROBABLE_PRIME.
 
-    Below 2^64 the verdict is deterministic: trial division by the primes
-    up to 199 settles every x below 199^2, since a composite there has a
-    prime factor up to 199, and strong tests against a base set proven
-    exhaustive settle the rest of that range.  At or above 2^64 the verdict
-    is COMPOSITE or PROBABLE_PRIME: a strong base-3 test, a strong base-2
-    test, a strong Lucas test with Selfridge parameters, and
-    _EXTRA_ROUNDS further strong tests with bases drawn from a fixed
-    seed.  Base 3 runs first because base 2 is blind on this package's
-    values: every composite 2^p - 1 with p prime passes the strong base-2
-    test, and every cofactor of Phi_d(2) coprime to d passes the base-2
-    Fermat test.
+    Below 2^64 the verdict is deterministic.  One gcd with the product of
+    the primes up to 199 settles every x below 199^2, since a composite
+    there has a prime factor up to 199.  Above that, strong tests to the
+    fewest bases proven enough for x's range settle the rest (see
+    _STRONG_BASES): (2, 3) below 1,373,653, (2, 3, 5) below 25,326,001,
+    (2, 7, 61) below 4,759,123,141, and BPSW (strong base 2, then strong
+    Lucas) up to 2^64.  At or above 2^64 the verdict is COMPOSITE or
+    PROBABLE_PRIME: a strong base-3 test, a strong base-2 test, a strong
+    Lucas test with Selfridge parameters, and _EXTRA_ROUNDS further
+    strong tests with bases drawn from a fixed seed.  Base 3 runs first
+    because base 2 is blind on this package's values: every composite
+    2^p - 1 with p prime passes the strong base-2 test, and every cofactor
+    of Phi_d(2) coprime to d passes the base-2 Fermat test.
     """
-    if x < 2:
+    if x <= _SMALL_PRIMES[-1]:
+        return Verdict.PRIME if x in _SMALL_PRIME_SET else Verdict.COMPOSITE
+    if math.gcd(x, _SMALL_PRIMORIAL) != 1:
         return Verdict.COMPOSITE
-    for p in _SMALL_PRIMES:
-        if x == p:
-            return Verdict.PRIME
-        if x % p == 0:
-            return Verdict.COMPOSITE
     if x < _SMALL_PRIMES_SQUARED:
         return Verdict.PRIME
     if x < _TWO_64:
-        for base in _BASES_BELOW_2_64:
-            if not _is_strong_probable_prime(x, base):
-                return Verdict.COMPOSITE
-        return Verdict.PRIME
+        for bound, bases in _STRONG_BASES:
+            if x < bound:
+                proven = all(_is_strong_probable_prime(x, base) for base in bases)
+                break
+        else:
+            proven = _is_strong_probable_prime(x, 2) and _is_strong_lucas_probable_prime(x)
+        return Verdict.PRIME if proven else Verdict.COMPOSITE
     for base in (3, 2):
         if not _is_strong_probable_prime(x, base):
             return Verdict.COMPOSITE
@@ -286,9 +297,12 @@ def _primes_up_to(limit: int) -> tuple[int, ...]:
     return tuple(_sieve(1, limit))
 
 
-# Trial divisors that is_probable_prime tries before any strong test; an
-# x below the square of the last one that none divides is prime.
+# The primes up to 199, which is_probable_prime rules out by one gcd with
+# their product before any strong test; an x below 199^2 that none
+# divides is prime.
 _SMALL_PRIMES = _primes_up_to(199)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 _SMALL_PRIMES_SQUARED = _SMALL_PRIMES[-1] ** 2
 
 

@@ -29,6 +29,7 @@ from .factoring import Budget, FactorStats, factor_mersenne
 from .storage import (
     CacheError,
     FactorCache,
+    _unlimited_digits,
     import_known_factors,
     load_cache,
     report_json,
@@ -261,13 +262,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    # A cofactor of M_n past about 14,280 bits has more than 4300 decimal
-    # digits, CPython's default limit on int <-> str conversion (none
-    # before 3.10.7); the limit is lifted while the command runs.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
+    # The command prints cofactors that can pass CPython's limit on
+    # int <-> str conversion, so the limit is lifted while it runs.
+    with _unlimited_digits():
         args = build_parser().parse_args(argv)
         path = args.cache
         try:
@@ -285,9 +282,6 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

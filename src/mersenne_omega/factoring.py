@@ -757,6 +757,16 @@ def trial_divide_congruence(
     return found
 
 
+# Below this n, factor_mersenne runs lucas_lehmer on a whole 2^n - 1
+# before the scan.  Up to n = 127 it costs 10-60 us, against 0.3-0.6 ms
+# for the scan to the trial bound that a prime 2^n - 1 needs.  Past 127
+# no 2^n - 1 is prime below n = 521, so there it would only add to the
+# cost of every composite one the scan splits.  Over prime n <= 521 at a
+# rho budget of 2^14, 128 gave the lowest summed factor_mersenne time of
+# the crossovers in [127, 521] (CPython 3.11, 2-core Xeon).
+_LUCAS_LEHMER_FIRST = 128
+
+
 def factor_mersenne(
     n: int,
     budget: Budget | None = None,
@@ -778,10 +788,12 @@ def factor_mersenne(
     cofactor and status is partial.
 
     Each part is scanned once.  For prime n > 2 the only part is 2^n - 1
-    itself; when nothing has been stripped from it and the scan finds no
-    factor, lucas_lehmer(n) decides primality, a proof where
-    is_probable_prime only says "probable".  So a 2^n - 1 with a factor
-    within the scan never pays for Lucas-Lehmer.
+    itself; when nothing has been stripped from it, lucas_lehmer(n)
+    decides primality, a proof where is_probable_prime only says
+    "probable".  Below n = _LUCAS_LEHMER_FIRST it runs before the scan,
+    and only a composite 2^n - 1 is scanned.  From there on it runs only
+    when the scan finds no factor, so a 2^n - 1 with a factor within the
+    scan never pays for Lucas-Lehmer.
     Every other value is tested where it is made: a part before the
     scan, and again only if the scan shrank it; a part the scan leaves as
     it was is composite by that test or by lucas_lehmer.  The scan's stop
@@ -825,9 +837,15 @@ def factor_mersenne(
         if v == 1:
             continue
         whole = mersenne_exponent and v == part.value
-        if not whole and _prime_like(v, part.d):
-            counts[v] += 1
-            continue
+        if not whole:
+            if _prime_like(v, part.d):
+                counts[v] += 1
+                continue
+        elif n < _LUCAS_LEHMER_FIRST:
+            if lucas_lehmer(n):
+                counts[v] += 1
+                continue
+            whole = False  # proven composite: no second run after the scan
         found = trial_divide_congruence(v, part.d, min(bound, v), stats)
         if whole and not found and lucas_lehmer(n):
             counts[v] += 1

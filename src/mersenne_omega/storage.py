@@ -10,7 +10,9 @@ Cache file format (single JSON document, UTF-8, trailing newline):
 
 Primes and cofactors are decimal strings so arbitrary precision survives
 any JSON parser; entries are sorted by n and keys have a fixed order, so
-serialization is canonical.  The file is never trusted.  Loading checks
+serialization is canonical.  load_cache and save_cache lift CPython's
+limit on int <-> str conversion while they convert, so a cofactor of any
+size round-trips.  The file is never trusted.  Loading checks
 every entry's shape: dividing 2^n - 1 by each listed prime as often as
 its exponent says must leave the cofactor, and the status must match it.
 The costlier test, that the listed primes are prime, is made when an
@@ -27,8 +29,10 @@ by census.census_csv, beside the record it reads.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import sys
 import threading
 from pathlib import Path
 from typing import NamedTuple
@@ -168,6 +172,22 @@ class FactorCache:
             return entry
 
 
+@contextlib.contextmanager
+def _unlimited_digits():
+    """Lift CPython's limit on int <-> str conversion inside the block and
+    restore it afterwards.  A cofactor of 2^n - 1 past about 14,280 bits
+    has more than 4300 decimal digits, the default limit (there is none
+    before 3.10.7)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _verify_entry(n: int, factors, cofactor: int, status: str) -> Factorization:
     entry = Factorization(mersenne(n), factors, cofactor)
     if not entry.reconstructs():
@@ -196,21 +216,22 @@ def load_cache(path) -> FactorCache:
         raise CacheError(f"{path}: entries must be a list of objects")
     cache = FactorCache()
     problems = []
-    for raw in entries:
-        try:
-            n, pairs, cofactor = raw["n"], raw["factors"], raw.get("cofactor", "1")
-            if type(n) is not int or any(type(e) is not int for _, e in pairs):
-                raise TypeError("n and the exponents must be integers")
-            digits = [cofactor, *(p for p, _ in pairs)]
-            if not all(type(s) is str and s.isascii() and s.isdigit() for s in digits):
-                raise TypeError("the primes and the cofactor must be decimal strings")
-            if n in cache._entries:
-                raise ValueError("a second entry for this n")
-            entry = _verify_entry(n, tuple((int(p), e) for p, e in pairs), int(cofactor), raw["status"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            problems.append(f"n={raw.get('n', '?')}: {exc}")
-            continue
-        cache._entries[n] = entry
+    with _unlimited_digits():
+        for raw in entries:
+            try:
+                n, pairs, cofactor = raw["n"], raw["factors"], raw.get("cofactor", "1")
+                if type(n) is not int or any(type(e) is not int for _, e in pairs):
+                    raise TypeError("n and the exponents must be integers")
+                digits = [cofactor, *(p for p, _ in pairs)]
+                if not all(type(s) is str and s.isascii() and s.isdigit() for s in digits):
+                    raise TypeError("the primes and the cofactor must be decimal strings")
+                if n in cache._entries:
+                    raise ValueError("a second entry for this n")
+                entry = _verify_entry(n, tuple((int(p), e) for p, e in pairs), int(cofactor), raw["status"])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                problems.append(f"n={raw.get('n', '?')}: {exc}")
+                continue
+            cache._entries[n] = entry
     if problems:
         raise CacheError(f"{path}: rejected entries: " + "; ".join(problems))
     cache._unread = set(cache._entries)
@@ -225,16 +246,17 @@ def save_cache(cache: FactorCache, path) -> None:
     failure the temporary file is removed and path is left as it was."""
     cache._read_all()
     entries = []
-    for n in cache.indices():
-        f = cache.get(n)
-        entry: dict = {
-            "n": n,
-            "factors": [[str(p), e] for p, e in f.factors],
-        }
-        if f.cofactor != 1:
-            entry["cofactor"] = str(f.cofactor)
-        entry["status"] = f.status
-        entries.append(entry)
+    with _unlimited_digits():
+        for n in cache.indices():
+            f = cache.get(n)
+            entry: dict = {
+                "n": n,
+                "factors": [[str(p), e] for p, e in f.factors],
+            }
+            if f.cofactor != 1:
+                entry["cofactor"] = str(f.cofactor)
+            entry["status"] = f.status
+            entries.append(entry)
     doc = {"version": CACHE_VERSION, "entries": entries}
     target = Path(path)
     # Unique per process and thread, so concurrent saves never share one.

@@ -97,6 +97,154 @@ def test_small_values_are_settled_by_trial_division(monkeypatch):
     assert strong_tests and min(strong_tests) > 199**2
 
 
+# Where is_probable_prime changes method: 199^2, the bounds of the
+# strong-base ranges, and 2^64.
+_RANGE_BOUNDS = (199**2, 1_373_653, 25_326_001, 4_759_123_141, 1 << 64)
+# The nearest prime below each bound and the nearest at or above it.
+_NEAREST_PRIMES = {
+    199**2: (39_581, 39_607),
+    1_373_653: (1_373_639, 1_373_677),
+    25_326_001: (25_325_981, 25_326_023),
+    4_759_123_141: (4_759_123_129, 4_759_123_151),
+    1 << 64: ((1 << 64) - 59, (1 << 64) + 13),
+}
+# Base-2 strong pseudoprimes: each is the least that passes some set of
+# strong bases (2047 for base 2 alone, 1,373,653 for bases 2 and 3, ...,
+# 3,825,123,056,546,413,051 for the primes up to 23), and F5 = 2^32 + 1.
+_BASE_TWO_PSEUDOPRIMES = (
+    2047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    4_759_123_141,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    4_294_967_297,
+)
+# Strong pseudoprimes with no prime factor up to 199 that pass every base
+# of their range's set but one, keyed by the bases they pass.
+_ONE_BASE_SHORT = {
+    (3,): 221_761,
+    (2,): 104_653,
+    (3, 5): 3_543_121,
+    (2, 5): 14_709_241,
+    (2, 3): 1_530_787,
+    (7, 61): 588_942_847,
+    (2, 61): 189_714_193,
+    (2, 7): 60_581_401,
+}
+_SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+
+def _seven_base_verdict(x):
+    """The reference below 2^64: trial division by the primes up to 199,
+    then strong tests to Sinclair's seven bases, proven exhaustive there."""
+    if x < 2:
+        return Verdict.COMPOSITE
+    for p in _primes_up_to(199):
+        if x == p:
+            return Verdict.PRIME
+        if x % p == 0:
+            return Verdict.COMPOSITE
+    if x < 199**2 or all(_is_strong_probable_prime(x, b) for b in _SINCLAIR_BASES):
+        return Verdict.PRIME
+    return Verdict.COMPOSITE
+
+
+def _next_prime(x):
+    while _seven_base_verdict(x) is not Verdict.PRIME:
+        x += 1
+    return x
+
+
+def _products_straddling(bound):
+    """p * q for primes p of 8 bits up to half of bound's, with q the
+    primes around bound / p, so some products fall below bound and some
+    above; and p * (2p - 1) near the bound, the usual shape of a strong
+    pseudoprime."""
+    for bits in range(8, bound.bit_length() // 2 + 1, 3):
+        p = _next_prime(1 << bits)
+        q = _next_prime(bound // p - 40)
+        for _ in range(6):
+            yield p * q
+            q = _next_prime(q + 1)
+    p = math.isqrt(bound // 2) - 2000
+    for _ in range(40):
+        p = _next_prime(p + 1)
+        if _seven_base_verdict(2 * p - 1) is Verdict.PRIME:
+            yield p * (2 * p - 1)
+
+
+def test_base_two_strong_pseudoprimes_are_composite():
+    for x in _BASE_TWO_PSEUDOPRIMES:
+        assert _is_strong_probable_prime(x, 2), x
+        assert is_probable_prime(x) is Verdict.COMPOSITE, x
+
+
+def test_each_base_of_a_range_is_needed():
+    for bases, x in _ONE_BASE_SHORT.items():
+        assert math.gcd(x, math.prod(_primes_up_to(199))) == 1
+        assert all(_is_strong_probable_prime(x, b) for b in bases), x
+        assert is_probable_prime(x) is Verdict.COMPOSITE, x
+    # Base-2 strong pseudoprimes past 4,759,123,141 that only the strong
+    # Lucas test rejects.
+    for x in (4_840_446_043, 6_209_592_313, 3_825_123_056_546_413_051):
+        assert _is_strong_probable_prime(x, 2) and math.gcd(x, math.prod(_primes_up_to(199))) == 1
+        assert is_probable_prime(x) is Verdict.COMPOSITE, x
+
+
+def test_nearest_primes_around_each_range_bound():
+    for bound in _RANGE_BOUNDS:
+        below, above = _NEAREST_PRIMES[bound]
+        assert below < bound <= above
+        for x in range(below, above + 1):
+            prime = x in (below, above)
+            expected = Verdict.COMPOSITE if not prime else Verdict.PRIME if x < 1 << 64 else Verdict.PROBABLE_PRIME
+            assert is_probable_prime(x) is expected, x
+
+
+def test_range_table_agrees_with_seven_bases_below_2_64():
+    rng = random.Random(0x7B5E)
+    for lo, hi in zip(_RANGE_BOUNDS, _RANGE_BOUNDS[1:]):
+        sample = [rng.randrange(lo, hi) | 1 for _ in range(10_000)]
+        assert sum(_seven_base_verdict(x) is Verdict.PRIME for x in sample) > 200
+        for x in sample:
+            assert is_probable_prime(x) is _seven_base_verdict(x), x
+    for bound in _RANGE_BOUNDS[1:-1]:
+        products = list(_products_straddling(bound))
+        assert min(products) < bound < max(products)
+        for x in products:
+            assert is_probable_prime(x) is _seven_base_verdict(x) is Verdict.COMPOSITE, x
+
+
+def test_range_table_runs_the_fewest_tests(monkeypatch):
+    calls = {"strong": 0, "lucas": 0}
+    strong, lucas = arith._is_strong_probable_prime, arith._is_strong_lucas_probable_prime
+
+    def counted(name, test):
+        def run(*args):
+            calls[name] += 1
+            return test(*args)
+
+        return run
+
+    monkeypatch.setattr(arith, "_is_strong_probable_prime", counted("strong", strong))
+    monkeypatch.setattr(arith, "_is_strong_lucas_probable_prime", counted("lucas", lucas))
+    rng = random.Random(0xC0DE)
+    values = [*_BASE_TWO_PSEUDOPRIMES, *(p for pair in _NEAREST_PRIMES.values() for p in pair)]
+    for lo, hi in zip(_RANGE_BOUNDS, _RANGE_BOUNDS[1:]):
+        values += (_next_prime(rng.randrange(lo, hi)) for _ in range(50))
+    for x in (x for x in values if x < 1 << 64):
+        calls.update(strong=0, lucas=0)
+        is_probable_prime(x)
+        if x < 4_759_123_141:
+            assert calls["strong"] <= 3 and calls["lucas"] == 0, x
+        else:
+            assert calls["strong"] <= 1 and calls["lucas"] <= 1, x
+
+
 def test_sieve_segments_agree_with_the_whole_table():
     table = _primes_up_to(300_000)
     assert len(table) == 25997  # pi(3 * 10^5)

@@ -794,26 +794,28 @@ def test_composite_mersenne_number_goes_on_after_lucas_lehmer(monkeypatch, p, fa
 
 @pytest.mark.parametrize("p", [11, 23, 41, 59, 71, 1013, 1019, 1031])
 def test_scan_factor_spares_lucas_lehmer(monkeypatch, p):
-    # Each of these 2^p - 1 has a prime factor below the scan bound.
-    def refuse(_):
-        raise AssertionError("lucas_lehmer ran")
-
-    monkeypatch.setattr(factoring, "lucas_lehmer", refuse)
+    # Each of these 2^p - 1 has a prime factor below the scan bound.  From
+    # _LUCAS_LEHMER_FIRST on, that factor spares Lucas-Lehmer.  Below it,
+    # Lucas-Lehmer runs first, once, and finds 2^p - 1 composite; the scan
+    # then finds the factor, and Lucas-Lehmer does not run again.
+    lucas_lehmer = _count_calls(monkeypatch, factoring, "lucas_lehmer")
     f = factor_mersenne(p, Budget(rho_iterations_max=1000))
     assert f.factors and f.factors[0][0] < DEFAULT_BUDGET.trial_division_bound
     assert f.reconstructs()
+    assert lucas_lehmer == ({p: 1} if p < factoring._LUCAS_LEHMER_FIRST else {})
 
 
 @pytest.mark.parametrize("p", [31, 61, 127, 521])
 def test_prime_mersenne_number_pays_for_a_short_scan_only(monkeypatch, p):
-    # One scan, to the square root of 2^31 - 1 or to the 2 * 10^6 bound,
-    # then one Lucas-Lehmer run.
+    # Below _LUCAS_LEHMER_FIRST, one Lucas-Lehmer run and no scan.  From
+    # there on, one scan to the 2 * 10^6 bound, then one Lucas-Lehmer run.
     scans = _count_calls(monkeypatch, factoring, "trial_divide_congruence")
     lucas_lehmer = _count_calls(monkeypatch, factoring, "lucas_lehmer")
     stats = FactorStats()
     assert factor_mersenne(p, stats=stats).factors == ((mersenne(p), 1),)
-    assert scans == {mersenne(p): 1} and lucas_lehmer == {p: 1}
-    assert stats.trial_candidates == {31: 373, 61: 8196, 127: 3937, 521: 959}[p]
+    assert scans == ({} if p < factoring._LUCAS_LEHMER_FIRST else {mersenne(p): 1})
+    assert lucas_lehmer == {p: 1}
+    assert stats.trial_candidates == {31: 0, 61: 0, 127: 0, 521: 959}[p]
 
 
 def test_factor_mersenne_scans_each_part_at_most_once(monkeypatch):
@@ -831,8 +833,10 @@ def test_factor_mersenne_scans_each_part_at_most_once(monkeypatch):
 
 
 def test_scan_goes_on_past_2p_squared_after_a_factor():
-    # 18121 | 2^151 - 1 lies below 2 * 151^2 = 45602; 55871 and 165799 lie
-    # past it, and a one-iteration rho budget cannot find them.
+    # The scan goes on past its first factor, 18121 | 2^151 - 1, to 55871
+    # and 165799, which a one-iteration rho budget cannot find.  (The 2p^2
+    # of the name, 45602 here, is where an earlier scan's first stretch
+    # ended.)
     f = factor_mersenne(151, Budget(rho_iterations_max=1))
     assert f.primes() == (18121, 55871, 165799) and not f.complete
 

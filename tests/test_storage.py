@@ -1,5 +1,6 @@
 import json
 import signal
+import sys
 import time
 from pathlib import Path
 
@@ -243,6 +244,45 @@ def test_failed_save_keeps_old_file(populated_cache, tmp_path, monkeypatch):
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int <-> str digit limit"
+)
+
+
+@needs_digit_limit
+def test_library_round_trip_past_the_digit_limit(tmp_path):
+    # The cofactor of 2^20000 - 1 over 3 * 5^5 has 6017 digits.
+    limit = sys.get_int_max_str_digits()
+    cache = FactorCache()
+    cache.add_primes(20000, [3, 5])
+    path = tmp_path / "cache.json"
+    save_cache(cache, path)
+    assert sys.get_int_max_str_digits() == limit
+    loaded = load_cache(path)
+    assert sys.get_int_max_str_digits() == limit
+    assert loaded == cache and loaded.get(20000).cofactor == cache.get(20000).cofactor
+    save_cache(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    # The CLI writes the same bytes for the same entry.
+    from mersenne_omega.cli import main
+
+    table, by_cli = tmp_path / "known.txt", tmp_path / "cli.json"
+    table.write_text("20000 3\n20000 5\n")
+    assert main(["import", str(table), "--cache", str(by_cli)]) == 0
+    assert by_cli.read_bytes() == path.read_bytes()
+    assert sys.get_int_max_str_digits() == limit
+
+
+@needs_digit_limit
+def test_unlimited_digits_restores_the_limit_after_an_error():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(RuntimeError):
+        with storage._unlimited_digits():
+            assert sys.get_int_max_str_digits() == 0
+            raise RuntimeError
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_load_accepts_partial_entry(tmp_path):

@@ -16,11 +16,18 @@ digests say the work was the same too.  The sets:
 - small: n = 2..400 at 2^14, where no piece reaches p-1 or ECM;
 - bigprime: the 45 bigprime workload indices at 1000, taken from
   perfbench/workloads.py (imported, never changed).
+
+A fourth line is the verdicts digest, the SHA-256 of the lines
+repr((x, is_probable_prime(x).value)) for every x below 2 * 10^5, the
+200 values around each bound where is_probable_prime changes method,
+the base-2 strong pseudoprimes in PSEUDOPRIMES, and SAMPLE seeded odd
+values in each range between those bounds (and from 2^64 to 2^128).
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
 import time
 from pathlib import Path
@@ -29,7 +36,27 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from mersenne_omega.arith import is_probable_prime  # noqa: E402
 from mersenne_omega.factoring import Budget, FactorStats, factor_mersenne  # noqa: E402
+
+# 199^2, the bounds of the strong-base ranges, and 2^64.
+BOUNDS = (199**2, 1_373_653, 25_326_001, 4_759_123_141, 1 << 64)
+# Base-2 strong pseudoprimes: each is the least that passes some set of
+# strong bases, or the Fermat number F5 = 2^32 + 1.
+PSEUDOPRIMES = (
+    2047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    4_759_123_141,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    4_294_967_297,
+)
+SAMPLE = 10_000
+SAMPLE_SEED = 0x5EED_64
 
 
 def bigprime_indices() -> list[int]:
@@ -56,6 +83,16 @@ def digests(indices, rho: int) -> tuple[str, str]:
     return sha256(results), sha256(counters)
 
 
+def verdicts_digest() -> str:
+    values = [*range(200_000), *PSEUDOPRIMES]
+    for b in BOUNDS:
+        values += range(b - 100, b + 100)
+    rng = random.Random(SAMPLE_SEED)
+    for lo, hi in zip(BOUNDS, (*BOUNDS[1:], 1 << 128)):
+        values += (rng.randrange(lo, hi) | 1 for _ in range(SAMPLE))
+    return sha256([repr((x, is_probable_prime(x).value)) for x in values])
+
+
 def main() -> None:
     sets = (
         ("sweep", range(2, 161), 1 << 22),
@@ -67,6 +104,9 @@ def main() -> None:
         results, counters = digests(indices, rho)
         elapsed = time.perf_counter() - start
         print(f"{name:8} {len(indices):3} indices at rho {rho}: results {results} counters {counters}  ({elapsed:.1f} s)")
+    start = time.perf_counter()
+    verdicts = verdicts_digest()
+    print(f"verdicts {verdicts}  ({time.perf_counter() - start:.1f} s)")
 
 
 if __name__ == "__main__":
