@@ -20,7 +20,7 @@ import sys
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .arith import _odd_prime, _prime_like, _primes_up_to, _ring, _sieve, is_perfect_power, lucas_lehmer, mersenne
+from .arith import _odd_prime, _prime_like, _primes_up_to, _ring, _sieve, lucas_lehmer, mersenne
 
 if TYPE_CHECKING:
     from .storage import FactorCache
@@ -52,9 +52,8 @@ class Budget(_BudgetFields):
     rho_iterations_max bounds the total number of iteration-function
     evaluations across all rho invocations triggered by the call plus its
     p-1 and ECM work units (see _pm1_cost and _ecm_cost).
-    trial_division_bound caps the prime table factor_natural trial-divides
-    by (below the cap it is sized to sqrt(x), so small values never build
-    it in full) and is the B2 of p-1 and of ECM.
+    trial_division_bound is the limit of factor_mersenne's congruence scan
+    and the B2 of p-1 and of ECM.
     """
 
     __slots__ = ()
@@ -180,22 +179,8 @@ class FactorStats:
         return f"FactorStats({fields})"
 
 
-# Trial division reuses its tables across calls: one per rung of
-# _trial_limit, so the default bound's seven (2^10, 2^12, ..., 2^20, then
-# 2M) all stay cached.  is_perfect_power keeps its exponent tables in
-# arith, so they never evict these.
+# Unused here; kept only because perfbench/spans.py traces it (ROADMAP item 1b).
 _sieve_primes = functools.lru_cache(maxsize=8)(_primes_up_to)
-
-
-def _trial_limit(x: int, bound: int) -> int:
-    """Sieve limit for trial division of x: the smallest power of 4 that
-    is at least max(1024, isqrt(x)), capped at bound.
-
-    The scan stops once p * p > x, so primes up to isqrt(x) always
-    suffice; rounding up to a power of 4 keeps the cached tables few.
-    """
-    bits = (max(1024, math.isqrt(x)) - 1).bit_length()
-    return min(bound, 1 << (bits + (bits & 1)))
 
 
 def _rho_brent(
@@ -608,103 +593,80 @@ def _curve_helper() -> None:
         print(sigma, format(_ecm(v, sigma, plan) or 0, "x"), flush=True)
 
 
-def _factor_with_rho(
-    value: int,
-    stats: FactorStats,
-    ceiling: int,
-    counts: Counter,
-    d: int | None = None,
-    bound: int = 0,
-) -> int:
-    """Fully factor value, a composite the caller has tested, into counts.
+def _factor_with_rho(value: int, stats: FactorStats, ceiling: int, counts: Counter, d: int, bound: int) -> int:
+    """Fully factor value, a composite piece of Phi_d(2) the caller has
+    tested, into counts.
 
     Returns the product of whatever composite pieces remain when
     stats.rho_iterations reaches ceiling (1 when none).  The stack holds
-    only composites: each piece a split or a perfect power yields is
-    tested once, when it is made.  When value divides 2^d - 1, each piece
-    that arith._ring admits is tested and split in that ring.
+    only composites: each piece a split yields is tested once, when it is
+    made.  Each piece that arith._ring admits is tested and split in the
+    ring Z/(2^d - 1).  A prime power splits like any other composite, into
+    smaller powers of its prime.
 
-    Given d, a composite piece whose budget left covers 2C (C =
-    _pm1_cost(bound)) gets rho seed 1 for at most C iterations, then if
-    need be _pm1, charged C, then ECM curves sigma = 6, 7, ..., as many as
-    the budget left covers at _ecm_cost(bound) each, up to the first that
-    splits it (see _ecm_curves), before rho seeds 2, 3, ... take what is
-    left.  The curves run on every usable core; which one splits the
-    piece, and so the divisor and the charge, does not depend on how many
-    there are.
+    A composite piece whose budget left covers 2C (C = _pm1_cost(bound))
+    gets rho seed 1 for at most C iterations, then if need be _pm1,
+    charged C, then ECM curves sigma = 6, 7, ..., as many as the budget
+    left covers at _ecm_cost(bound) each, up to the first that splits it
+    (see _ecm_curves), before rho seeds 2, 3, ... take what is left.  The
+    curves run on every usable core; which one splits the piece, and so
+    the divisor and the charge, does not depend on how many there are.
     """
     leftover = 1
     stack = [(value, 1)]
     while stack:
         v, multiplicity = stack.pop()
-        power = is_perfect_power(v)
-        if power is not None:
-            b, k = power
-            pieces = [(b, multiplicity * k)]
-        else:
-            ring = _ring(v, d)
-            divisor, seed = None, 1
-            left = ceiling - stats.rho_iterations  # C > _PM1_B1: small budgets never build C
-            if d is not None and left > 2 * _PM1_B1 and left >= 2 * (cost := _pm1_cost(bound)):
-                divisor = _rho_brent(v, 1, stats, stats.rho_iterations + cost, ring)
-                if divisor is None:
-                    divisor = _pm1(v, d, bound)
-                    stats.rho_iterations += cost
-                if divisor is None:
-                    cost = _ecm_cost(bound)
-                    divisor, curves = _ecm_curves(v, bound, (ceiling - stats.rho_iterations) // cost)
-                    stats.rho_iterations += curves * cost
-                seed = 2
-            while divisor is None and stats.rho_iterations < ceiling:
-                divisor = _rho_brent(v, seed, stats, ceiling, ring)
-                seed += 1
+        ring = _ring(v, d)
+        divisor, seed = None, 1
+        left = ceiling - stats.rho_iterations  # C > _PM1_B1: small budgets never build C
+        if left > 2 * _PM1_B1 and left >= 2 * (cost := _pm1_cost(bound)):
+            divisor = _rho_brent(v, 1, stats, stats.rho_iterations + cost, ring)
             if divisor is None:
-                leftover *= v**multiplicity
-                continue
-            pieces = [(divisor, multiplicity), (v // divisor, multiplicity)]
-        for piece, m in pieces:
+                divisor = _pm1(v, d, bound)
+                stats.rho_iterations += cost
+            if divisor is None:
+                cost = _ecm_cost(bound)
+                divisor, curves = _ecm_curves(v, bound, (ceiling - stats.rho_iterations) // cost)
+                stats.rho_iterations += curves * cost
+            seed = 2
+        while divisor is None and stats.rho_iterations < ceiling:
+            divisor = _rho_brent(v, seed, stats, ceiling, ring)
+            seed += 1
+        if divisor is None:
+            leftover *= v**multiplicity
+            continue
+        for piece in (divisor, v // divisor):
             if _prime_like(piece, d):
-                counts[piece] += m
+                counts[piece] += multiplicity
             else:
-                stack.append((piece, m))
+                stack.append((piece, multiplicity))
     return leftover
 
 
-def factor_natural(
-    x: int, budget: Budget | None = None, stats: FactorStats | None = None
-) -> Factorization:
-    """Factor an ordinary natural: trial division by the primes up to
-    sqrt(x) (at most the budget bound), then Brent rho with the
-    deterministic seed schedule on what remains.
-    """
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    budget = budget or DEFAULT_BUDGET
-    stats = stats or FactorStats()
-    if x == 1:
-        return Factorization(1, ())
-    if _prime_like(x):
-        return Factorization(x, ((x, 1),))
-    counts: Counter = Counter()
-    remaining = x
-    cofactor = 1
-    for p in _sieve_primes(_trial_limit(x, budget.trial_division_bound)):
-        if p * p > remaining:
-            counts[remaining] += 1
-            break
-        if remaining % p == 0:
-            while remaining % p == 0:
-                remaining //= p
-                counts[p] += 1
-            if remaining == 1:
-                break
-            if _prime_like(remaining):
-                counts[remaining] += 1
-                break
-    else:
-        ceiling = stats.rho_iterations + budget.rho_iterations_max
-        cofactor = _factor_with_rho(remaining, stats, ceiling, counts)
-    return Factorization(x, tuple(sorted(counts.items())), cofactor)
+# The largest x factor_natural takes, DEFAULT_BUDGET.trial_division_bound^2:
+# no 2^x - 1 past it can be built, and up to it trial division takes at
+# most 10^6 steps.
+_NATURAL_MAX = 4 * 10**12
+
+
+def factor_natural(x: int) -> Factorization:
+    """Factor an index, 1 <= x <= _NATURAL_MAX: divide by 2, then by the
+    odd numbers q while q * q <= what is left, which is then 1 or prime."""
+    if not 1 <= x <= _NATURAL_MAX:
+        raise ValueError(f"index {x} is outside 1..{_NATURAL_MAX}")
+    factors = []
+    rest, q = x, 2
+    while q * q <= rest:
+        if rest % q == 0:
+            e = 0
+            while rest % q == 0:
+                rest //= q
+                e += 1
+            factors.append((q, e))
+        q += 1 if q == 2 else 2
+    if rest > 1:
+        factors.append((rest, 1))
+    return Factorization(x, tuple(factors))
 
 
 def trial_divide_congruence(
@@ -782,7 +744,7 @@ def factor_mersenne(
     cache entry, then run the 2*d*l + 1 congruence scan, which ends at
     the square root of what is left of the part; (4) hand what
     survives to rho, Pollard p-1 and ECM (see _factor_with_rho), which
-    also settles primes and perfect powers.
+    also settles the primes they leave.
     Results are merged across parts, sorted, and written back to the
     cache.  On budget exhaustion the composite remainder is reported in
     cofactor and status is partial.

@@ -470,6 +470,18 @@ def test_domain_errors_exit_1(capsys):
     assert "error" in err
 
 
+def test_an_index_past_the_cap_is_a_domain_error(tmp_path):
+    # factor_natural refuses n > 4 * 10^12 before any 2^d - 1 is built.
+    env = dict(os.environ, PYTHONPATH=str(Path(mersenne_omega.__file__).parents[1]))
+    env.pop("MERSENNE_OMEGA_CACHE", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mersenne_omega.cli", "factor", "4000000000001"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_USAGE == 1
+    assert proc.stdout == "" and proc.stderr.startswith("error:")
+
+
 def test_stdout_is_stable_across_runs(capsys):
     _, out1, _ = run(capsys, "omega", "--range", "2", "20")
     _, out2, _ = run(capsys, "omega", "--range", "2", "20")
@@ -506,8 +518,8 @@ def test_output_does_not_follow_the_hash_seed(tmp_path, args):
     assert outputs[0] == outputs[1]
 
 
-# SHA-256 of each command's stdout.  The size of the trial-division
-# table must not change what is printed.
+# SHA-256 of each command's stdout.  Indices are factored by trial
+# division with no prime table, so none of these builds one.
 SMALL_QUERIES = {
     ("classify", "10"): "847d5aa7db6ca45429c47d9e5d41d1fa3f4b390c9e379a5d55398e8d4a01a315",
     ("primitive", "12"): "39f067e11739d47a7222b17ffa3acf0888e7325535b88d591024ef3bcede5ebc",
@@ -522,7 +534,7 @@ def test_small_queries_build_only_the_smallest_trial_table(capsys, monkeypatch, 
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SMALL_QUERIES[argv]
-    assert sieve_requests and max(sieve_requests) <= 1024
+    assert sieve_requests == []
 
 
 def _imported_modules(argv, cwd):

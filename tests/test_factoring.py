@@ -20,7 +20,6 @@ from mersenne_omega import (
     trial_divide_congruence,
 )
 from mersenne_omega import arith, cyclotomic, factoring
-from mersenne_omega.factoring import _sieve_primes
 
 
 def test_factorization_invariants():
@@ -58,16 +57,29 @@ def test_factor_natural_examples():
 
 
 def test_factor_natural_reconstructs_random_inputs():
+    # 300 draws over the whole domain [1, 4 * 10^12], log-uniform: a bit
+    # length from 1 to 42, then a value below 2^bits within the cap.
     rng = random.Random(0xFAC7)
     for _ in range(300):
-        x = rng.randrange(1, 1 << 48)
+        x = rng.randrange(1, min(1 << rng.randint(1, 42), factoring._NATURAL_MAX) + 1)
         f = factor_natural(x)
         assert f.complete, x
         assert f.reconstructs() and f.target == x
+        assert all(p == 2 or arith._odd_prime(p) for p in f.primes()), x
 
 
-# The trial-division table grows in powers of 4 from 2^10 and stops at
-# the bound: 2^10, 2^12, ..., 2^20, then 2M under the default budget.
+def test_factor_natural_takes_indices_up_to_its_cap():
+    assert factoring._NATURAL_MAX == DEFAULT_BUDGET.trial_division_bound**2 == 4 * 10**12
+    for x in (0, -1, 4 * 10**12 + 1):
+        with pytest.raises(ValueError):
+            factor_natural(x)
+    assert factor_natural(4 * 10**12).factors == ((2, 14), (5, 12))
+    # The slowest value within the cap: a product of the primes on either
+    # side of its square root.
+    assert factor_natural(1_999_993 * 2_000_003).factors == ((1_999_993, 1), (2_000_003, 1))
+
+
+# Powers of 4 from 2^10 to 2^20, and 2M, whose square is factor_natural's cap.
 RUNGS = (1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 2_000_000)
 # Largest prime below each rung and smallest above it.
 RUNG_PRIMES = (
@@ -81,40 +93,6 @@ RUNG_PRIMES = (
 )
 
 
-def test_trial_sieve_is_sized_to_the_square_root(sieve_requests):
-    rng = random.Random(0x51E)
-    small = list(range(1, 3000)) + [rng.randrange(1, 1 << 20) for _ in range(500)]
-    for x in small + [(1 << 20) - 1, 1021 * 1021]:
-        factor_natural(x)
-    assert max(sieve_requests) == 1024
-
-    sieve_requests.clear()
-    stats = FactorStats()
-    f = factor_natural(1_999_993 * 2_000_003, stats=stats)
-    assert sieve_requests == [DEFAULT_BUDGET.trial_division_bound]
-    assert f.complete and f.factors == ((1_999_993, 1), (2_000_003, 1))
-    assert stats.rho_calls == stats.rho_iterations == 0
-
-    sieve_requests.clear()
-    capped = Budget(trial_division_bound=100)
-    for x in small[:300] + [1021 * 1031, 1_999_993 * 2_000_003]:
-        assert factor_natural(x, capped).reconstructs()
-    assert max(sieve_requests) <= 100
-
-
-def test_trial_sieve_tables_stay_cached(sieve_requests):
-    # Composites just below each rung, and just above it (the next rung).
-    deep_first = [below * q for below, above in reversed(RUNG_PRIMES) for q in (above, below)]
-    for x in deep_first:
-        factor_natural(x)
-    assert sorted(set(sieve_requests)) == list(RUNGS)
-    misses = _sieve_primes.cache_info().misses
-    for _ in range(3):
-        for x in deep_first[::-1] + [6, 360, 4095] + deep_first:
-            factor_natural(x)
-    assert _sieve_primes.cache_info().misses == misses
-
-
 def _rung_edge_values():
     for below, above in RUNG_PRIMES:
         yield from (below * below, below * above, above * above)
@@ -124,21 +102,17 @@ def _rung_edge_values():
             yield root * root + 2 * root  # largest x with isqrt(x) == root
 
 
-@pytest.mark.parametrize("bound", [3, 100, DEFAULT_BUDGET.trial_division_bound])
-def test_factor_natural_matches_sympy_at_rung_edges(bound):
+def test_factor_natural_matches_sympy_at_rung_edges():
     sympy = pytest.importorskip("sympy")
     assert RUNG_PRIMES == tuple((sympy.prevprime(r), sympy.nextprime(r)) for r in RUNGS)
-    # A small rho budget leaves some results partial under the low bounds.
-    budget = Budget(rho_iterations_max=1 << 8, trial_division_bound=bound)
     for x in _rung_edge_values():
-        f = factor_natural(x, budget)
-        assert f.reconstructs(), x
-        expected = sympy.factorint(x)
-        if f.complete:
-            assert dict(f.factors) == expected, x
-        else:
-            assert all(expected.get(p) == e for p, e in f.factors), x
-            assert not sympy.isprime(f.cofactor), x
+        if x > factoring._NATURAL_MAX:  # 2000003^2 alone
+            with pytest.raises(ValueError):
+                factor_natural(x)
+            continue
+        f = factor_natural(x)
+        assert f.complete and f.reconstructs(), x
+        assert dict(f.factors) == sympy.factorint(x), x
 
 
 def test_trial_divide_congruence_examples():
@@ -848,15 +822,17 @@ def test_factor_mersenne_tests_each_big_value_once(monkeypatch, n):
     assert all(k == 1 for x, k in tested.items() if x >= 1 << 64)
 
 
-def test_factor_natural_tests_each_big_value_once(monkeypatch):
-    # Trial division strips 3 and 5 and tests what is left; rho then splits
-    # that composite into 10000019 and 2^89 - 1, each tested when it is made.
-    tested = _count_calls(monkeypatch, arith, "is_probable_prime")
-    x = 3 * 5 * 10000019 * mersenne(89)
-    f = factor_natural(x)
-    assert f.factors == ((3, 1), (5, 1), (10000019, 1), (mersenne(89), 1)) and f.complete
-    big = {v: k for v, k in tested.items() if v >= 1 << 64}
-    assert big and all(k == 1 for k in big.values())
+@pytest.mark.parametrize("q, d", [(1093, 364), (3511, 1755), (2_000_003, 1_000_001)])
+def test_a_prime_square_piece_splits_by_rho(q, d):
+    # A piece the scan leaves is a power only through q^2 | Phi_d(2), q a
+    # Wieferich prime past the scan bound: 1093 and 3511 are the known
+    # ones, and 2000003^2 stands in for one past the default bound.  The
+    # budget is below 2 * _PM1_B1, so rho alone must split it.
+    if q in (1093, 3511):
+        assert cyclotomic.cyclotomic_split(d)[-1].value % (q * q) == 0
+    counts = Counter()
+    assert factoring._factor_with_rho(q * q, FactorStats(), 1 << 16, counts, d, 3000) == 1
+    assert counts == {q: 2}
 
 
 @pytest.mark.parametrize("n", [1050, 2003])

@@ -22,6 +22,12 @@ repr((x, is_probable_prime(x).value)) for every x below 2 * 10^5, the
 200 values around each bound where is_probable_prime changes method,
 the base-2 strong pseudoprimes in PSEUDOPRIMES, and SAMPLE seeded odd
 values in each range between those bounds (and from 2^64 to 2^128).
+
+A fifth line is the naturals digest, the SHA-256 of the lines
+repr((x, factor_natural(x).factors)) for every x from 1 to 2 * 10^5 and
+for edges(): the values around the squares of the powers of 4 from 2^10
+to 2^20, the squares and products of the primes on either side of each
+such power and of 2 * 10^6, and factor_natural's cap 4 * 10^12.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from mersenne_omega.arith import is_probable_prime  # noqa: E402
-from mersenne_omega.factoring import Budget, FactorStats, factor_mersenne  # noqa: E402
+from mersenne_omega.factoring import Budget, FactorStats, factor_mersenne, factor_natural  # noqa: E402
 
 # 199^2, the bounds of the strong-base ranges, and 2^64.
 BOUNDS = (199**2, 1_373_653, 25_326_001, 4_759_123_141, 1 << 64)
@@ -55,6 +61,22 @@ PSEUDOPRIMES = (
     3_825_123_056_546_413_051,
     4_294_967_297,
 )
+# The powers of 4 from 2^10 to 2^20, then 2 * 10^6, whose square is
+# factor_natural's cap; and the largest prime below each and the smallest
+# above it.
+RUNGS = (1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 2_000_000)
+RUNG_PRIMES = (
+    (1021, 1031),
+    (4093, 4099),
+    (16381, 16411),
+    (65521, 65537),
+    (262139, 262147),
+    (1048573, 1048583),
+    (1999993, 2000003),
+)
+# factor_natural's cap, written out so the script also runs on a checkout
+# that has none.
+NATURAL_MAX = 4 * 10**12
 SAMPLE = 10_000
 SAMPLE_SEED = 0x5EED_64
 
@@ -93,6 +115,22 @@ def verdicts_digest() -> str:
     return sha256([repr((x, is_probable_prime(x).value)) for x in values])
 
 
+def edges() -> list[int]:
+    """The values of the naturals digest past 2 * 10^5, all <= NATURAL_MAX."""
+    values = [NATURAL_MAX]
+    for below, above in RUNG_PRIMES:
+        values += (below * below, below * above, above * above)
+    for rung in RUNGS[:-1]:
+        for root in (rung - 1, rung, rung + 1):
+            values += (root * root - 1, root * root, root * root + 1, root * root + 2 * root)
+    return [x for x in values if x <= NATURAL_MAX]
+
+
+def naturals_digest() -> str:
+    values = [*range(1, 200_001), *edges()]
+    return sha256([repr((x, factor_natural(x).factors)) for x in values])
+
+
 def main() -> None:
     sets = (
         ("sweep", range(2, 161), 1 << 22),
@@ -107,6 +145,9 @@ def main() -> None:
     start = time.perf_counter()
     verdicts = verdicts_digest()
     print(f"verdicts {verdicts}  ({time.perf_counter() - start:.1f} s)")
+    start = time.perf_counter()
+    naturals = naturals_digest()
+    print(f"naturals {naturals}  ({time.perf_counter() - start:.1f} s)")
 
 
 if __name__ == "__main__":
