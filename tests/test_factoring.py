@@ -102,17 +102,22 @@ def _rung_edge_values():
             yield root * root + 2 * root  # largest x with isqrt(x) == root
 
 
-def test_factor_natural_matches_sympy_at_rung_edges():
+@pytest.mark.parametrize("multiplier", [3, 100, DEFAULT_BUDGET.trial_division_bound])
+def test_factor_natural_matches_sympy_at_rung_edges(multiplier):
+    # Each edge value alone, and behind a smooth multiplier (a prime, 2^2*5^2,
+    # 2^7*5^6) that is divided out first, so the loop reaches the edge value
+    # as what is left; 2M pushes most products past the cap.
     sympy = pytest.importorskip("sympy")
     assert RUNG_PRIMES == tuple((sympy.prevprime(r), sympy.nextprime(r)) for r in RUNGS)
-    for x in _rung_edge_values():
-        if x > factoring._NATURAL_MAX:  # 2000003^2 alone
-            with pytest.raises(ValueError):
-                factor_natural(x)
-            continue
-        f = factor_natural(x)
-        assert f.complete and f.reconstructs(), x
-        assert dict(f.factors) == sympy.factorint(x), x
+    for edge in _rung_edge_values():
+        for x in (edge, multiplier * edge):
+            if x > factoring._NATURAL_MAX:
+                with pytest.raises(ValueError):
+                    factor_natural(x)
+                continue
+            f = factor_natural(x)
+            assert f.complete and f.reconstructs(), x
+            assert dict(f.factors) == sympy.factorint(x), x
 
 
 def test_trial_divide_congruence_examples():
