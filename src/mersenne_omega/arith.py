@@ -68,7 +68,8 @@ def mod_mersenne(x: int, n: int) -> int:
 # Wagstaff (1980), (2, 7, 61) by Jaeschke (1993).  From the last bound to
 # 2^64 one strong base-2 test and one strong Lucas test (BPSW) decide:
 # no base-2 strong pseudoprime below 2^64 (Feitsma's list, checked by
-# Gilchrist in 2009) passes the strong Lucas test.
+# Gilchrist in 2009) passes the strong Lucas test.  A strong base-3 test
+# runs ahead of them there, as it does above 2^64.
 _STRONG_BASES = (
     (1_373_653, (2, 3)),
     (25_326_001, (2, 3, 5)),
@@ -119,8 +120,16 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def _is_strong_lucas_probable_prime(x: int) -> bool:
-    # Selfridge parameters: first D in 5, -7, 9, -11, ... with (D|x) = -1,
-    # then P = 1, Q = (1 - D)/4.
+    """Strong Lucas test of odd x >= 3 with Selfridge's parameters: the
+    first D in 5, -7, 9, -11, ... with (D|x) = -1, then P = 1 and
+    Q = (1 - D)/4.  With x + 1 = k * 2^s, k odd, x passes when U_k = 0 or
+    V_(k * 2^r) = 0 (mod x) for some 0 <= r < s.  A perfect square, which
+    has no such D, and an x sharing a factor with D fail (unless x = |D|).
+
+    The ladder walks (V_m, V_(m+1), Q^m) alone.  D is a unit modulo x,
+    since (D|x) = -1, so D U_k = 2 V_(k+1) - V_k vanishes exactly when U_k
+    does.
+    """
     r = math.isqrt(x)
     if r * r == x:
         return False
@@ -138,28 +147,23 @@ def _is_strong_lucas_probable_prime(x: int) -> bool:
     s = (k & -k).bit_length() - 1
     k >>= s
 
-    # Binary ladder for U_k, V_k (P = 1); track Q^k alongside.
-    u, v, qk = 1, 1, q % x
+    # From m = 1: V_1 = P = 1, V_2 = P^2 - 2Q.  Each bit of k doubles m,
+    # by V_2m = V_m^2 - 2Q^m and V_(2m+1) = V_m V_(m+1) - Q^m.
+    v, w, qm = 1, (1 - 2 * q) % x, q % x
     for bit in bin(k)[3:]:
-        u = u * v % x
-        v = (v * v - 2 * qk) % x
-        qk = qk * qk % x
         if bit == "1":
-            u, v = u + v, d * u + v
-            if u & 1:
-                u += x
-            if v & 1:
-                v += x
-            u = (u >> 1) % x
-            v = (v >> 1) % x
-            qk = qk * q % x
-    if u == 0 or v == 0:
+            v, w = (v * w - qm) % x, (w * w - 2 * q * qm) % x
+            qm = qm * qm * q % x
+        else:
+            v, w = (v * v - 2 * qm) % x, (v * w - qm) % x
+            qm = qm * qm % x
+    if v == 0 or (2 * w - v) % x == 0:
         return True
     for _ in range(s - 1):
-        v = (v * v - 2 * qk) % x
+        v = (v * v - 2 * qm) % x
         if v == 0:
             return True
-        qk = qk * qk % x
+        qm = qm * qm % x
     return False
 
 
@@ -171,14 +175,17 @@ def is_probable_prime(x: int) -> Verdict:
     there has a prime factor up to 199.  Above that, strong tests to the
     fewest bases proven enough for x's range settle the rest (see
     _STRONG_BASES): (2, 3) below 1,373,653, (2, 3, 5) below 25,326,001,
-    (2, 7, 61) below 4,759,123,141, and BPSW (strong base 2, then strong
-    Lucas) up to 2^64.  At or above 2^64 the verdict is COMPOSITE or
-    PROBABLE_PRIME: a strong base-3 test, a strong base-2 test, a strong
-    Lucas test with Selfridge parameters, and _EXTRA_ROUNDS further
-    strong tests with bases drawn from a fixed seed.  Base 3 runs first
-    because base 2 is blind on this package's values: every composite
-    2^p - 1 with p prime passes the strong base-2 test, and every cofactor
-    of Phi_d(2) coprime to d passes the base-2 Fermat test.
+    (2, 7, 61) below 4,759,123,141.  From there on every x runs a strong
+    base-3 test, a strong base-2 test and a strong Lucas test with
+    Selfridge's parameters, in that order; below 2^64 the last two are
+    BPSW, which is exact there, so base 3 only rejects some composites
+    sooner.  At or above 2^64 _EXTRA_ROUNDS further strong tests with
+    bases drawn from a fixed seed follow, and the verdict is COMPOSITE or
+    PROBABLE_PRIME.  Base 3 runs first because base 2 is blind on this
+    package's values: every composite 2^p - 1 with p prime passes the
+    strong base-2 test, and so does every composite piece of Phi_d(2)
+    with odd d; at 64 bits a strong Lucas test costs two to three strong
+    tests.
     """
     if x <= _SMALL_PRIMES[-1]:
         return Verdict.PRIME if x in _SMALL_PRIME_SET else Verdict.COMPOSITE
@@ -186,19 +193,17 @@ def is_probable_prime(x: int) -> Verdict:
         return Verdict.COMPOSITE
     if x < _SMALL_PRIMES_SQUARED:
         return Verdict.PRIME
-    if x < _TWO_64:
-        for bound, bases in _STRONG_BASES:
-            if x < bound:
-                proven = all(_is_strong_probable_prime(x, base) for base in bases)
-                break
-        else:
-            proven = _is_strong_probable_prime(x, 2) and _is_strong_lucas_probable_prime(x)
-        return Verdict.PRIME if proven else Verdict.COMPOSITE
+    for bound, bases in _STRONG_BASES:
+        if x < bound:
+            proven = all(_is_strong_probable_prime(x, base) for base in bases)
+            return Verdict.PRIME if proven else Verdict.COMPOSITE
     for base in (3, 2):
         if not _is_strong_probable_prime(x, base):
             return Verdict.COMPOSITE
     if not _is_strong_lucas_probable_prime(x):
         return Verdict.COMPOSITE
+    if x < _TWO_64:
+        return Verdict.PRIME
     rng = random.Random(_EXTRA_ROUNDS_SEED)
     for _ in range(_EXTRA_ROUNDS):
         if not _is_strong_probable_prime(x, rng.randrange(3, x - 1)):
@@ -264,12 +269,25 @@ def _odd_prime(x: int) -> bool:
 def lucas_lehmer(p: int) -> bool:
     """Decide whether 2^p - 1 is prime, for odd prime p.
 
-    Iterates s <- s^2 - 2 from s = 4 in the ring Z/(2^p - 1), bringing
-    each square back below 2^(p+1) by two folds (see _ring_pow); 2^p - 1
-    is prime iff the (p-2)-th term vanishes modulo it.
+    Trial factoring comes first, as GIMPS runs it before any Lucas-Lehmer
+    test.  A prime divisor q of 2^p - 1 is 2kp + 1 and is +-1 (mod 8),
+    since 2 is a square modulo q; any q with 2^p = 1 (mod q), prime or
+    not, proves 2^p - 1 composite.  Such q with k <= p/4 are walked.
+    When none is found, which costs about 10% of the squarings at
+    p = 521 and 5% at 1279, s <- s^2 - 2 is iterated from s = 4 in the
+    ring Z/(2^p - 1), each square brought back below 2^(p+1) by two folds
+    (see _ring_pow); 2^p - 1 is prime iff the (p-2)-th term vanishes
+    modulo it.
     """
     if not _odd_prime(p):
         raise ValueError("p must be an odd prime")
+    # q = 2kp + 1 = +-1 (mod 8) exactly when k = 0 or k = 3p (mod 4).  No
+    # candidate reaches 2^p - 1: k <= p/4 keeps q <= p^2/2 + 1, and p = 3
+    # has no k.
+    stop = 2 * p * (p // 4) + 2
+    firsts = (8 * p + 1, 2 * p * (3 * p % 4) + 1)
+    if any(pow(2, p, q) == 1 for first in firsts for q in range(first, stop, 8 * p)):
+        return False
     m = mersenne(p)
     s = 4
     for _ in range(p - 2):

@@ -219,7 +219,8 @@ def test_range_table_agrees_with_seven_bases_below_2_64():
             assert is_probable_prime(x) is _seven_base_verdict(x) is Verdict.COMPOSITE, x
 
 
-def test_range_table_runs_the_fewest_tests(monkeypatch):
+def _count_tests(monkeypatch):
+    """A dict of the strong and strong Lucas tests run since the last reset."""
     calls = {"strong": 0, "lucas": 0}
     strong, lucas = arith._is_strong_probable_prime, arith._is_strong_lucas_probable_prime
 
@@ -232,6 +233,11 @@ def test_range_table_runs_the_fewest_tests(monkeypatch):
 
     monkeypatch.setattr(arith, "_is_strong_probable_prime", counted("strong", strong))
     monkeypatch.setattr(arith, "_is_strong_lucas_probable_prime", counted("lucas", lucas))
+    return calls
+
+
+def test_range_table_runs_the_fewest_tests(monkeypatch):
+    calls = _count_tests(monkeypatch)
     rng = random.Random(0xC0DE)
     values = [*_BASE_TWO_PSEUDOPRIMES, *(p for pair in _NEAREST_PRIMES.values() for p in pair)]
     for lo, hi in zip(_RANGE_BOUNDS, _RANGE_BOUNDS[1:]):
@@ -242,7 +248,29 @@ def test_range_table_runs_the_fewest_tests(monkeypatch):
         if x < 4_759_123_141:
             assert calls["strong"] <= 3 and calls["lucas"] == 0, x
         else:
-            assert calls["strong"] <= 1 and calls["lucas"] <= 1, x
+            # Strong bases 3 and 2, then the strong Lucas test.
+            assert calls["strong"] <= 2 and calls["lucas"] <= 1, x
+
+
+def test_composite_cyclotomic_pieces_run_no_lucas_test(monkeypatch):
+    # A composite piece of Phi_d(2) with odd d passes the strong base-2
+    # test; base 3, which runs first, rejects each of these on its own.
+    small = math.prod(_primes_up_to(199))
+    pieces = [
+        v
+        for d, v in _cyclotomic_cofactors(160)
+        if d % 2
+        and 4_759_123_141 <= v < 1 << 64
+        and math.gcd(v, small) == 1
+        and _seven_base_verdict(v) is Verdict.COMPOSITE
+    ]
+    assert len(pieces) >= 20
+    calls = _count_tests(monkeypatch)
+    for v in pieces:
+        assert _is_strong_probable_prime(v, 2), v
+        calls.update(strong=0, lucas=0)
+        assert is_probable_prime(v) is Verdict.COMPOSITE, v
+        assert calls["strong"] == 1 and calls["lucas"] == 0, v
 
 
 def test_sieve_segments_agree_with_the_whole_table():
@@ -272,10 +300,19 @@ def test_primality_is_reproducible_above_2_64():
     assert is_probable_prime(x) is is_probable_prime(x) is Verdict.PROBABLE_PRIME
 
 
+def _lucas_lehmer_squarings(p):
+    """Lucas-Lehmer by its squarings alone, each reduced by %."""
+    m = mersenne(p)
+    s = 4
+    for _ in range(p - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
 def test_lucas_lehmer_examples():
-    assert lucas_lehmer(3) is True
+    for p in (3, 5, 7, 13, 17, 19, 31):
+        assert lucas_lehmer(p) is True, p
     assert lucas_lehmer(11) is False
-    assert lucas_lehmer(13) is True
     assert is_probable_prime(8191) is Verdict.PRIME  # cross-check M13
 
 
@@ -291,6 +328,106 @@ def test_lucas_lehmer_agrees_with_probable_prime():
             continue
         expected = is_probable_prime(mersenne(p)) is not Verdict.COMPOSITE
         assert lucas_lehmer(p) == expected, p
+
+
+def test_lucas_lehmer_agrees_with_its_squarings_alone():
+    for p in _primes_up_to(1500)[1:]:
+        assert lucas_lehmer(p) is _lucas_lehmer_squarings(p), p
+
+
+@pytest.mark.parametrize("p, factor", [(11, 23), (23, 47), (2351, 4703), (151, None)])
+def test_lucas_lehmer_trial_factors_before_squaring(monkeypatch, p, factor):
+    # Only the squarings reach mod_mersenne.  23, 47 and 4703 are 2p + 1;
+    # the least factor of 2^151 - 1 is 18121 = 2 * 60 * 151 + 1, and
+    # 60 > 151 / 4, so the squarings decide it.
+    squarings = []
+    reduce = arith.mod_mersenne
+    monkeypatch.setattr(arith, "mod_mersenne", lambda x, n: squarings.append(n) or reduce(x, n))
+    assert lucas_lehmer(p) is False
+    if factor is None:
+        assert squarings == [p]
+        assert mersenne(p) % 18121 == 0 and 18121 == 2 * 60 * p + 1
+    else:
+        assert squarings == []
+        assert factor == 2 * p + 1 and mersenne(p) % factor == 0
+
+
+def _strong_lucas_u_v(x):
+    """The strong Lucas test by a binary ladder on U_k and V_k together,
+    with Selfridge's parameters; the reference for arith's V-only ladder."""
+    r = math.isqrt(x)
+    if r * r == x:
+        return False
+    d = 5
+    while True:
+        j = arith._jacobi(d, x)
+        if j == 0:
+            return abs(d) == x
+        if j == -1:
+            break
+        d = -(d + 2) if d > 0 else -(d - 2)
+    q = (1 - d) // 4
+    k = x + 1
+    s = (k & -k).bit_length() - 1
+    k >>= s
+    u, v, qk = 1, 1, q % x
+    for bit in bin(k)[3:]:
+        u = u * v % x
+        v = (v * v - 2 * qk) % x
+        qk = qk * qk % x
+        if bit == "1":
+            u, v = u + v, d * u + v
+            if u & 1:
+                u += x
+            if v & 1:
+                v += x
+            u = (u >> 1) % x
+            v = (v >> 1) % x
+            qk = qk * q % x
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % x
+        if v == 0:
+            return True
+        qk = qk * qk % x
+    return False
+
+
+# The 16 smallest strong Lucas pseudoprimes with Selfridge's parameters
+# (OEIS A217255).
+_STRONG_LUCAS_PSEUDOPRIMES = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+    40309, 58519, 75077, 97439, 100127, 113573, 115639, 130139,
+)  # fmt: skip
+
+
+def test_strong_lucas_ladder_agrees_with_the_u_v_ladder():
+    lucas = arith._is_strong_lucas_probable_prime
+    rng = random.Random(0x1A5)
+    for lo, hi in ((4_759_123_141, 1 << 64), (1 << 64, 1 << 128)):
+        sample = [rng.randrange(lo, hi) | 1 for _ in range(10_000)]
+        passed = 0
+        for x in sample:
+            got = lucas(x)
+            assert got is _strong_lucas_u_v(x), x
+            passed += got
+        assert passed > 100
+    for x in range(3, 20_001, 2):
+        assert lucas(x) is _strong_lucas_u_v(x), x
+    for x in _STRONG_LUCAS_PSEUDOPRIMES:
+        assert x % 2 and _seven_base_verdict(x) is Verdict.COMPOSITE, x
+        assert lucas(x) and _strong_lucas_u_v(x), x
+
+
+def test_strong_lucas_refuses_squares_and_a_shared_factor_with_d():
+    lucas = arith._is_strong_lucas_probable_prime
+    for r in (3, 5, 1001, 65537, (1 << 40) + 15):
+        assert not lucas(r * r) and not _strong_lucas_u_v(r * r), r
+    # D = 5 for the first two; (5|x) = 1 moves the last two on to D = -7.
+    for x, d in ((35, 5), (5 * 65537, 5), (21, -7), (91, -7)):
+        assert arith._jacobi(d, x) == 0, x
+        assert not lucas(x) and not _strong_lucas_u_v(x), x
 
 
 @pytest.mark.parametrize("p", [67, 101, 103, 109])

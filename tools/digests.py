@@ -28,6 +28,9 @@ repr((x, factor_natural(x).factors)) for every x from 1 to 2 * 10^5 and
 for edges(): the values around the squares of the powers of 4 from 2^10
 to 2^20, the squares and products of the primes on either side of each
 such power and of 2 * 10^6, and factor_natural's cap 4 * 10^12.
+
+A sixth line is the lucas_lehmer digest, the SHA-256 of the lines
+repr((p, lucas_lehmer(p))) for every odd prime p below 2000.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from mersenne_omega.arith import is_probable_prime  # noqa: E402
+from mersenne_omega.arith import Verdict, is_probable_prime, lucas_lehmer  # noqa: E402
 from mersenne_omega.factoring import Budget, FactorStats, factor_mersenne, factor_natural  # noqa: E402
 
 # 199^2, the bounds of the strong-base ranges, and 2^64.
@@ -131,6 +134,11 @@ def naturals_digest() -> str:
     return sha256([repr((x, factor_natural(x).factors)) for x in values])
 
 
+def lucas_lehmer_digest() -> str:
+    exponents = [p for p in range(3, 2000, 2) if is_probable_prime(p) is Verdict.PRIME]
+    return sha256([repr((p, lucas_lehmer(p))) for p in exponents])
+
+
 def main() -> None:
     sets = (
         ("sweep", range(2, 161), 1 << 22),
@@ -148,6 +156,9 @@ def main() -> None:
     start = time.perf_counter()
     naturals = naturals_digest()
     print(f"naturals {naturals}  ({time.perf_counter() - start:.1f} s)")
+    start = time.perf_counter()
+    lucas = lucas_lehmer_digest()
+    print(f"lucas_lehmer {lucas}  ({time.perf_counter() - start:.1f} s)")
 
 
 if __name__ == "__main__":
