@@ -266,6 +266,14 @@ def _odd_prime(x: int) -> bool:
     return x % 2 == 1 and x > 2 and _prime_like(x)
 
 
+def _mersenne_candidates(p: int) -> tuple[int, tuple[int, int]]:
+    """Step and first terms of the q = 2kp + 1, k >= 1, that can divide
+    2^p - 1 for odd prime p.  Such q is +-1 (mod 8), since 2 is a square
+    modulo each of its primes: k = 0 or 3p (mod 4), two progressions of
+    step 8p."""
+    return 8 * p, (8 * p + 1, 2 * p * (3 * p % 4) + 1)
+
+
 def lucas_lehmer(p: int) -> bool:
     """Decide whether 2^p - 1 is prime, for odd prime p.
 
@@ -281,12 +289,11 @@ def lucas_lehmer(p: int) -> bool:
     """
     if not _odd_prime(p):
         raise ValueError("p must be an odd prime")
-    # q = 2kp + 1 = +-1 (mod 8) exactly when k = 0 or k = 3p (mod 4).  No
-    # candidate reaches 2^p - 1: k <= p/4 keeps q <= p^2/2 + 1, and p = 3
-    # has no k.
+    # No candidate reaches 2^p - 1: k <= p/4 keeps q <= p^2/2 + 1, and
+    # p = 3 has no k.
+    step, starts = _mersenne_candidates(p)
     stop = 2 * p * (p // 4) + 2
-    firsts = (8 * p + 1, 2 * p * (3 * p % 4) + 1)
-    if any(pow(2, p, q) == 1 for first in firsts for q in range(first, stop, 8 * p)):
+    if any(pow(2, p, q) == 1 for first in starts for q in range(first, stop, step)):
         return False
     m = mersenne(p)
     s = 4

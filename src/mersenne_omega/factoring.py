@@ -20,7 +20,16 @@ import sys
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .arith import _odd_prime, _prime_like, _primes_up_to, _ring, _sieve, lucas_lehmer, mersenne
+from .arith import (
+    _mersenne_candidates,
+    _odd_prime,
+    _prime_like,
+    _primes_up_to,
+    _ring,
+    _sieve,
+    lucas_lehmer,
+    mersenne,
+)
 
 if TYPE_CHECKING:
     from .storage import FactorCache
@@ -674,8 +683,8 @@ def trial_divide_congruence(
 ) -> list[int]:
     """List primes q = 2*d*l + 1 <= limit dividing target, ascending.
 
-    For odd prime d only q = +-1 (mod 8) can divide (2 is a square mod q):
-    l = 0 or 3d (mod 4), two progressions of step 8d; else one of step 2d.
+    For odd prime d the candidates are arith._mersenne_candidates(d), the
+    two progressions of step 8d with q = +-1 (mod 8); else one of step 2d.
     A comprehension tests 256 steps at a time up to min(limit, rest), rest
     being what is left of target, divides out the smallest prime hit and
     resumes after it, skipping composite hits.  Once no candidate up to
@@ -690,7 +699,7 @@ def trial_divide_congruence(
         raise ValueError("target must be odd")
     stats = stats or FactorStats()
     if _odd_prime(d):
-        step, starts = 8 * d, (8 * d + 1, 2 * d * (3 * d % 4) + 1)
+        step, starts = _mersenne_candidates(d)
     else:
         step, starts = 2 * d, (2 * d + 1,)
     found: list[int] = []

@@ -33,10 +33,10 @@ from pathlib import Path
 BETTER = re.compile(r"^\s+(\S+) = \S+ \S+ \((lower|higher) is better\)$")
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict[str, str]]:
+def run(checkout: Path, workload: str, seed: int) -> tuple[dict, dict[str, str]]:
     """perfbench's JSON result of one run, and each metric's better side."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload]
-    cmd += ["--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
+    cmd += ["--seed", str(seed), "--seconds", "40", "--trace", "0"]
     lines = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True).stdout.splitlines()
     better = {m[1]: m[2] for m in map(BETTER.match, lines) if m}
     try:
@@ -60,7 +60,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=("sweep", "bigprime", "cli_warm"))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=6)
-    parser.add_argument("--seconds", type=float, default=40.0)
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -70,14 +69,14 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         seed = args.seed + i
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            result, declared = run(sides[side], args.workload, seed, args.seconds)
+            result, declared = run(sides[side], args.workload, seed)
             better.update(declared)
             results[side].append(result)
             correct &= result.get("correct", False)
             values = " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items())
             print(f"pair {i} seed {seed} {side}: correct={result.get('correct')} {values}", file=sys.stderr)
 
-    print(f"workload {args.workload}, {args.pairs} pairs from seed {args.seed}, {args.seconds:g} s per run")
+    print(f"workload {args.workload}, {args.pairs} pairs from seed {args.seed}")
     print(f"{'metric':16} {'parent':>12} {'change':>12} {'spread':>8} {'ratio':>8} improved")
     if not all(r["metrics"] for side in results.values() for r in side):
         print("error: a run printed no result", file=sys.stderr)
