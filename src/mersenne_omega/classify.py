@@ -17,7 +17,6 @@ import math
 from typing import NamedTuple
 
 from .arith import _prime_like, integer_root, is_perfect_power, mersenne
-from .cyclotomic import mersenne_quotient_residue
 from .factoring import Budget, Factorization, FactorStats, factor_mersenne, factor_natural
 
 __all__ = [
@@ -349,13 +348,15 @@ class _Tally:
         self.inconclusive = 0
         self.first_failure: str | None = None
 
-    def check(self, ok: bool, describe: str) -> None:
+    def check(self, ok: bool, template: str, *args) -> None:
+        """Count one check.  The first failure keeps template.format(*args),
+        so a passing check formats nothing."""
         if ok:
             self.passed += 1
         else:
             self.failed += 1
             if self.first_failure is None:
-                self.first_failure = describe
+                self.first_failure = template.format(*args)
 
     def skip(self) -> None:
         self.inconclusive += 1
@@ -392,6 +393,7 @@ def verify_identities(
     """
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
+    from .cyclotomic import mersenne_quotient_residue
 
     memo: dict[int, Factorization] = {}
 
@@ -400,12 +402,14 @@ def verify_identities(
             memo[n] = factor_mersenne(n, budget, cache, stats)
         return memo[n]
 
+    top = max(max_n, _PERFECT_POWER_FLOOR)
+    ms = [mersenne(k) for k in range(top + 1)]  # ms[k] = 2^k - 1, built once
+
     gcd_suite = _Tally("gcd_identity")
     for a in range(1, max_n + 1):
         for b in range(a, max_n + 1):
-            expected = mersenne(math.gcd(a, b))
-            ok = math.gcd(mersenne(a), mersenne(b)) == expected
-            gcd_suite.check(ok, f"gcd(M{a}, M{b}) != M{math.gcd(a, b)}")
+            g = math.gcd(a, b)
+            gcd_suite.check(math.gcd(ms[a], ms[b]) == ms[g], "gcd(M{}, M{}) != M{}", a, b, g)
 
     super_suite = _Tally("omega_superadditivity")
     for m in range(2, max_n + 1):
@@ -417,20 +421,20 @@ def verify_identities(
                 super_suite.skip()
                 continue
             ok = fmk.omega > fm.omega + fk.omega
-            super_suite.check(ok, f"omega(M{m * k}) <= omega(M{m}) + omega(M{k})")
+            super_suite.check(ok, "omega(M{}) <= omega(M{}) + omega(M{})", m * k, m, k)
 
     power_suite = _Tally("perfect_power_absence")
-    for n in range(2, max(max_n, _PERFECT_POWER_FLOOR) + 1):
-        power_suite.check(is_perfect_power(mersenne(n)) is None, f"M{n} is a perfect power")
+    for n in range(2, top + 1):
+        power_suite.check(is_perfect_power(ms[n]) is None, "M{} is a perfect power", n)
 
     residue_suite = _Tally("quotient_residue")
     for p in range(2, max_n + 1):
         if not _prime_like(p):
             continue
         for m in range(1, max_n // p + 1):
-            direct = (mersenne(p * m) // mersenne(p)) % mersenne(p)
+            direct = (ms[p * m] // ms[p]) % ms[p]
             ok = mersenne_quotient_residue(p, m) == direct
-            residue_suite.check(ok, f"quotient residue mismatch at p={p}, m={m}")
+            residue_suite.check(ok, "quotient residue mismatch at p={}, m={}", p, m)
 
     return IdentityReport(
         max_n,
@@ -461,5 +465,5 @@ def verify_structures_in_range(
             tally.skip()
             continue
         report = verify_structure(n, f)
-        tally.check(report.consistent, f"n={n}: inconsistent ({report.decomposition})")
+        tally.check(report.consistent, "n={}: inconsistent ({})", n, report.decomposition)
     return tally.result()

@@ -241,9 +241,11 @@ def load_cache(path) -> FactorCache:
 
 def save_cache(cache: FactorCache, path) -> None:
     """Write the canonical JSON form (stable ordering, trailing newline)
-    to a temporary file beside path, then rename it over path.  Every entry
-    not yet read is tested first, so CacheError leaves path as it was.  On
-    failure the temporary file is removed and path is left as it was."""
+    to a temporary file beside path, flush it to disk with os.fsync, then
+    rename it over path, so a power loss cannot leave the rename on disk
+    without the data.  Every entry not yet read is tested first, so
+    CacheError leaves path as it was.  On failure the temporary file is
+    removed and path is left as it was."""
     cache._read_all()
     entries = []
     with _unlimited_digits():
@@ -262,7 +264,10 @@ def save_cache(cache: FactorCache, path) -> None:
     # Unique per process and thread, so concurrent saves never share one.
     tmp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        tmp.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as handle:
+            handle.write(json.dumps(doc, indent=2) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, target)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)

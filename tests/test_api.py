@@ -80,12 +80,17 @@ def test_trial_sieve_keeps_its_name():
     assert factoring._sieve_primes(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
     # It traces every (module, name) in its TRACED list, so a function that
     # moves or is renamed fails here rather than in the traced benchmark run.
+    for module, name in _traced():
+        assert hasattr(importlib.import_module(f"mersenne_omega.{module}"), name), (module, name)
+
+
+def _traced():
+    """perfbench/spans.py's TRACED list of (home module, function name)."""
     path = Path(__file__).parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    for module, name in spans.TRACED:
-        assert hasattr(importlib.import_module(f"mersenne_omega.{module}"), name), (module, name)
+    return spans.TRACED
 
 
 def test_work_ledger_keeps_its_binding():
@@ -138,6 +143,40 @@ def test_cli_and_package_import_no_command_module_at_module_level():
     for filename in ("cli.py", "__init__.py"):
         tree = ast.parse(Path(mersenne_omega.__file__).with_name(filename).read_text())
         assert _names_imported_at_import_time(tree).isdisjoint(deferred), filename
+
+
+def test_splitting_and_cyclotomic_load_only_where_they_are_used():
+    # Rho, p-1 and ECM load only when factor_mersenne has a piece to split,
+    # and classify loads cyclotomic only for verify_identities, so a warm
+    # query compiles neither.
+    package = Path(mersenne_omega.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert "splitting" not in _names_imported_at_import_time(ast.parse(path.read_text())), path.name
+    tree = ast.parse((package / "classify.py").read_text())
+    assert "cyclotomic" not in _names_imported_at_import_time(tree)
+    users = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.ImportFrom) and node.module == "cyclotomic"
+    }
+    assert users == {"verify_identities"}
+
+
+def test_splitting_imports_only_untraced_helpers_from_arith():
+    # perfbench/spans.py patches the traced functions only in the modules it
+    # lists, which splitting is not; a traced name imported into splitting
+    # would slip past its spans.
+    tree = ast.parse(Path(mersenne_omega.__file__).with_name("splitting.py").read_text())
+    imported = {
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    assert imported and {module for module, _ in imported} == {"arith"}
+    assert imported.isdisjoint(_traced())
 
 
 def test_no_module_imports_dataclasses():

@@ -400,3 +400,28 @@ def test_verify_identities_marks_budget_gaps_inconclusive():
     by_name = {s.name: s for s in report.suites}
     assert by_name["omega_superadditivity"].failed == 0
     assert by_name["omega_superadditivity"].inconclusive > 0
+
+
+def test_verify_identities_names_each_suite_first_failure(monkeypatch):
+    # A forged 2^6 - 1 = 62 breaks the gcd and quotient-residue identities.
+    # Each suite counts every failure and formats only its first.
+    monkeypatch.setattr(classify, "mersenne", lambda k: 62 if k == 6 else (1 << k) - 1)
+    by_name = {s.name: s for s in verify_identities(12).suites}
+    assert by_name["gcd_identity"].failed == 8
+    assert by_name["gcd_identity"].first_failure == "gcd(M2, M6) != M2"
+    assert by_name["quotient_residue"].failed == 2
+    assert by_name["quotient_residue"].first_failure == "quotient residue mismatch at p=2, m=3"
+    assert by_name["perfect_power_absence"].ok and by_name["omega_superadditivity"].ok
+
+
+def test_structure_check_names_its_first_inconsistency(monkeypatch):
+    consistent = classify.verify_structure
+
+    def forged(n, f):
+        report = consistent(n, f)
+        return report._replace(consistent=n % 5 != 0)
+
+    monkeypatch.setattr(classify, "verify_structure", forged)
+    result = verify_structures_in_range(12)
+    assert result.failed == 2
+    assert result.first_failure == f"n=5: inconsistent ({forged(5, factor_mersenne(5)).decomposition})"

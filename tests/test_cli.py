@@ -554,13 +554,13 @@ def _imported_modules(argv, cwd):
 @pytest.mark.parametrize(
     "argv, unused",
     [
-        pytest.param(("factor", "7"), {"cyclotomic", "classify", "census"}, id="factor"),
-        pytest.param(("omega", "--range", "2", "12"), {"cyclotomic", "classify", "census"}, id="omega"),
-        pytest.param(("primitive", "12"), {"classify", "census"}, id="primitive"),
-        pytest.param(("classify", "9"), {"census"}, id="classify"),
-        pytest.param(("verify", "--max", "12"), {"census"}, id="verify"),
-        pytest.param(("census", "--min", "2", "--max", "12"), set(), id="census"),
-        pytest.param(("import", "known.txt"), {"cyclotomic", "classify", "census"}, id="import"),
+        pytest.param(("factor", "7"), {"splitting", "cyclotomic", "classify", "census"}, id="factor"),
+        pytest.param(("omega", "--range", "2", "12"), {"splitting", "cyclotomic", "classify", "census"}, id="omega"),
+        pytest.param(("primitive", "12"), {"splitting", "classify", "census"}, id="primitive"),
+        pytest.param(("classify", "9"), {"splitting", "cyclotomic", "census"}, id="classify"),
+        pytest.param(("verify", "--max", "12"), {"splitting", "census"}, id="verify"),
+        pytest.param(("census", "--min", "2", "--max", "12"), {"splitting", "cyclotomic"}, id="census"),
+        pytest.param(("import", "known.txt"), {"splitting", "cyclotomic", "classify", "census"}, id="import"),
     ],
 )
 def test_warm_queries_import_only_what_they_use(tmp_path, argv, unused):
@@ -572,6 +572,13 @@ def test_warm_queries_import_only_what_they_use(tmp_path, argv, unused):
     assert imported.isdisjoint(f"mersenne_omega.{name}" for name in unused)
     # Importing dataclasses costs about 10 ms, most of it inspect.
     assert imported.isdisjoint({"dataclasses", "inspect"})
+
+
+def test_a_cold_query_that_rho_splits_loads_the_splitting_module(tmp_path):
+    # Neither prime of M_67 = 193707721 * 761838257287 is within the scan's
+    # 2 * 10^6, so with no cache rho must split it.
+    imported = _imported_modules(("factor", "67"), tmp_path)
+    assert {"mersenne_omega.factoring", "mersenne_omega.splitting"} <= imported
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from mersenne_omega import (
     mersenne,
     trial_divide_congruence,
 )
-from mersenne_omega import arith, cyclotomic, factoring
+from mersenne_omega import arith, cyclotomic, factoring, splitting
 
 
 def test_factorization_invariants():
@@ -269,7 +269,7 @@ def test_trial_divide_congruence_rejects_bad_input():
 
 def _rho(x, seed, ceiling=DEFAULT_BUDGET.rho_iterations_max, stats=None):
     """One _rho_brent attempt with its own ledger, as a top-level call makes."""
-    return factoring._rho_brent(x, seed, stats or FactorStats(), ceiling)
+    return splitting._rho_brent(x, seed, stats or FactorStats(), ceiling)
 
 
 def test_pollard_rho_brent_examples():
@@ -310,7 +310,7 @@ def _split(x, ceiling, ring=None):
     s = FactorStats()
     divisor, seed = None, 1
     while divisor is None and s.rho_iterations < ceiling:
-        divisor = factoring._rho_brent(x, seed, s, ceiling, ring)
+        divisor = splitting._rho_brent(x, seed, s, ceiling, ring)
         seed += 1
     return divisor, s.rho_iterations, s.rho_calls
 
@@ -366,14 +366,14 @@ def published_runs():
 
 def test_pm1_stage_one_splits_m139():
     # bound = _ECM_B1 leaves stage 2 empty.
-    assert factoring._pm1(mersenne(139), 139, factoring._ECM_B1) == 5625767248687
+    assert splitting._pm1(mersenne(139), 139, splitting._ECM_B1) == 5625767248687
 
 
 def test_pm1_stage_two_must_reach_278557_for_m101():
     m = mersenne(101)
-    assert factoring._pm1(m, 101, factoring._PM1_B1) is None
-    assert factoring._pm1(m, 101, 278556) is None
-    assert factoring._pm1(m, 101, 278557) == 7432339208719
+    assert splitting._pm1(m, 101, splitting._PM1_B1) is None
+    assert splitting._pm1(m, 101, 278556) is None
+    assert splitting._pm1(m, 101, 278557) == 7432339208719
 
 
 def test_pm1_raises_base_three(monkeypatch):
@@ -383,8 +383,8 @@ def test_pm1_raises_base_three(monkeypatch):
         bases[args[0]] += 1
         return pow(*args)
 
-    monkeypatch.setattr(factoring, "pow", counting, raising=False)
-    assert factoring._pm1(mersenne(139), 139, factoring._PM1_B1) == 5625767248687
+    monkeypatch.setattr(splitting, "pow", counting, raising=False)
+    assert splitting._pm1(mersenne(139), 139, splitting._PM1_B1) == 5625767248687
     assert bases == {3: 1}
 
 
@@ -400,7 +400,7 @@ def test_pm1_completes_published_factorizations(published_runs, n):
 def test_ecm_charges_each_curve_up_to_the_one_that_splits(published_runs):
     # Rho seed 1 and p-1 take 473,638 units, then ECM finds the smaller
     # prime on curve sigma = 23 of M_137 and sigma = 25 of M_149.
-    cost = factoring._ecm_cost(SWEEP_BUDGET.trial_division_bound)
+    cost = splitting._ecm_cost(SWEEP_BUDGET.trial_division_bound)
     assert cost == 15876 + 121349
     assert published_runs[137][0][1] == FactorStats(473638 + 18 * cost, 1, 3649, 0)
     assert published_runs[149][0][1] == FactorStats(473638 + 20 * cost, 1, 3355, 0)
@@ -420,28 +420,28 @@ def test_piece_that_rho_splits_within_the_pm1_cost_keeps_its_counts():
     f = factor_mersenne(119, SWEEP_BUDGET, stats=stats)
     assert f.complete and f.primes()[-2:] == (62983048367, 131105292137)
     assert stats == FactorStats(126206, 1, 8403, 0)
-    assert stats.rho_iterations < factoring._pm1_cost(SWEEP_BUDGET.trial_division_bound)
+    assert stats.rho_iterations < splitting._pm1_cost(SWEEP_BUDGET.trial_division_bound)
 
 
-@pytest.mark.parametrize("bound", [factoring._PM1_B1 // 2, factoring._PM1_B1, 278557, 2 * 10**6, 5 * 10**6])
+@pytest.mark.parametrize("bound", [splitting._PM1_B1 // 2, splitting._PM1_B1, 278557, 2 * 10**6, 5 * 10**6])
 def test_pm1_cost_counts_the_primes_stage_two_walks(bound):
     # C counts the primes in (_PM1_B1, B2], though stage 2 walks _ecm_plan.
-    bits = factoring._exponent(factoring._PM1_B1).bit_length()
-    primes = sum(map(len, factoring._segments(factoring._PM1_B1, bound)))
-    assert factoring._pm1_cost(bound) == bits + primes
+    bits = splitting._exponent(splitting._PM1_B1).bit_length()
+    primes = sum(map(len, splitting._segments(splitting._PM1_B1, bound)))
+    assert splitting._pm1_cost(bound) == bits + primes
 
 
 def test_prime_count_matches_the_sieve():
     for x in range(-1, 3000):
-        assert factoring._prime_count(x) == len(arith._sieve(1, x)), x
-    assert factoring._pm1_cost(DEFAULT_BUDGET.trial_division_bound) == 94449 + 142391
+        assert splitting._prime_count(x) == len(arith._sieve(1, x)), x
+    assert splitting._pm1_cost(DEFAULT_BUDGET.trial_division_bound) == 94449 + 142391
 
 
 def test_pm1_never_runs_below_twice_its_cost(monkeypatch):
     # Nor does ECM, which runs only after p-1.
     calls = []
-    monkeypatch.setattr(factoring, "_pm1", lambda *args: calls.append(args))
-    monkeypatch.setattr(factoring, "_ecm", lambda *args: calls.append(args))
+    monkeypatch.setattr(splitting, "_pm1", lambda *args: calls.append(args))
+    monkeypatch.setattr(splitting, "_ecm", lambda *args: calls.append(args))
     for n in range(2, 401):
         factor_mersenne(n, Budget(rho_iterations_max=1 << 14))
     for n in (1050, 1061, 1459, 2310, 3000):
@@ -449,21 +449,21 @@ def test_pm1_never_runs_below_twice_its_cost(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("bound", [factoring._ECM_B1, 50_000, DEFAULT_BUDGET.trial_division_bound])
+@pytest.mark.parametrize("bound", [splitting._ECM_B1, 50_000, DEFAULT_BUDGET.trial_division_bound])
 def test_ecm_plan_covers_every_stage_two_prime(bound):
-    d = factoring._ECM_D
-    lo, rows = factoring._ecm_plan(bound)
-    primes = set(arith._sieve(factoring._ECM_B1, bound))
+    d = splitting._ECM_D
+    lo, rows = splitting._ecm_plan(bound)
+    primes = set(arith._sieve(splitting._ECM_B1, bound))
     covered = set()
     for m, row in enumerate(rows, lo):
         for i in row:
-            j = factoring._ECM_BABIES[i]
+            j = splitting._ECM_BABIES[i]
             pair = {m * d - j, m * d + j} & primes
             assert pair, (m, j)  # every term pays for at least one prime
             covered |= pair
     assert covered == {q for q in primes if d % q}
-    stage_one = factoring._exponent(factoring._ECM_B1).bit_length()
-    assert factoring._ecm_cost(bound) == stage_one + sum(map(len, rows))
+    stage_one = splitting._exponent(splitting._ECM_B1).bit_length()
+    assert splitting._ecm_cost(bound) == stage_one + sum(map(len, rows))
 
 
 def test_ecm_curve_returns_a_proper_divisor_or_none():
@@ -472,18 +472,18 @@ def test_ecm_curve_returns_a_proper_divisor_or_none():
     outcomes = set()
     for v in (7 * 13, 1000003 * 1000033, (1 << 64) + 1):
         for sigma in range(6, 10):
-            g = factoring._ecm(v, sigma, factoring._ecm_plan(20_000))
+            g = splitting._ecm(v, sigma, splitting._ecm_plan(20_000))
             assert g is None or (1 < g < v and v % g == 0), (v, sigma, g)
             outcomes.add(g is None)
     assert outcomes == {True, False}
-    m, plan = mersenne(137), factoring._ecm_plan(DEFAULT_BUDGET.trial_division_bound)
-    assert factoring._ecm(m, 22, plan) is None
-    assert factoring._ecm(m, 23, plan) == 32032215596496435569
+    m, plan = mersenne(137), splitting._ecm_plan(DEFAULT_BUDGET.trial_division_bound)
+    assert splitting._ecm(m, 22, plan) is None
+    assert splitting._ecm(m, 23, plan) == 32032215596496435569
 
 
-@pytest.mark.parametrize("b1", [1, 2, 16, factoring._ECM_B1, factoring._PM1_B1])
+@pytest.mark.parametrize("b1", [1, 2, 16, splitting._ECM_B1, splitting._PM1_B1])
 def test_exponent_is_the_product_of_the_prime_powers(b1):
-    assert factoring._exponent(b1) == math.prod(factoring._prime_powers(b1))
+    assert splitting._exponent(b1) == math.prod(splitting._prime_powers(b1))
 
 
 def _pm1_by_primes(v, d, bound):
@@ -492,17 +492,17 @@ def _pm1_by_primes(v, d, bound):
     gcd per sieve segment and a segment's gcd of v retraced one prime at a
     time: the stage 2 _pm1 had before it walked _ecm_plan, kept as the
     reference that walk must agree with."""
-    b1 = factoring._PM1_B1
-    a = pow(3, 2 * d * factoring._exponent(b1), v)
+    b1 = splitting._PM1_B1
+    a = pow(3, 2 * d * splitting._exponent(b1), v)
     g = math.gcd(a - 1, v)
     if g == v:
         b = pow(3, 2 * d, v)
-        g = next(h for q in factoring._prime_powers(b1) if (h := math.gcd((b := pow(b, q, v)) - 1, v)) > 1)
+        g = next(h for q in splitting._prime_powers(b1) if (h := math.gcd((b := pow(b, q, v)) - 1, v)) > 1)
     if g > 1:
         return g if g < v else None
     last = arith._sieve(b1 - 100, b1)[-1]
     x, steps = pow(a, last, v), {}  # x = a^last; steps[s] = a^s
-    for primes in factoring._segments(b1, bound):
+    for primes in splitting._segments(b1, bound):
         acc = 1
         for r in primes:
             x = x * (steps.get(r - last) or steps.setdefault(r - last, pow(a, r - last, v))) % v
@@ -530,36 +530,36 @@ def test_pm1_agrees_with_a_prime_by_prime_stage_two():
             while v % q == 0:
                 v //= q
         if v > 1 and not arith._prime_like(v):
-            found[d] = factoring._pm1(v, d, 278557), v
+            found[d] = splitting._pm1(v, d, 278557), v
             assert found[d][0] == _pm1_by_primes(v, d, 278557), d
     assert [d for d, (g, _) in found.items() if g is None] == [137, 143, 149]
     for d in (101, 247):
         g, v = found[d]
-        assert g and factoring._pm1(v, d, factoring._ECM_B1) is None
+        assert g and splitting._pm1(v, d, splitting._ECM_B1) is None
 
 
 def test_pm1_walks_the_plan_without_sieving(monkeypatch):
     m = mersenne(101)
-    factoring._exponent(factoring._PM1_B1)
-    factoring._ecm_plan(278557)
+    splitting._exponent(splitting._PM1_B1)
+    splitting._ecm_plan(278557)
 
     def no_sieve(*args):
         raise AssertionError("sieved again")
 
-    monkeypatch.setattr(factoring, "_segments", no_sieve)
-    monkeypatch.setattr(factoring, "_sieve", no_sieve)
-    assert factoring._pm1(m, 101, 278557) == 7432339208719
+    monkeypatch.setattr(splitting, "_segments", no_sieve)
+    monkeypatch.setattr(splitting, "_sieve", no_sieve)
+    assert splitting._pm1(m, 101, 278557) == 7432339208719
 
 
 def test_stage_two_retraces_a_row_one_term_at_a_time():
     # Row terms x - baby: 101 * 5, 103 and v itself, for v = 101 * 103.
-    v, width = 101 * 103, len(factoring._ECM_BABIES)
+    v, width = 101 * 103, len(splitting._ECM_BABIES)
     babies = [v - 505, v - 103, 0] + [v - 1] * (width - 3)
     points = babies + [v, v]  # two giant steps, each v
-    assert factoring._pairs(v, points, [b"", bytes([0, 1])]) == 101
-    assert factoring._pairs(v, points, [b"", bytes([1, 0])]) == 103
-    assert factoring._pairs(v, points, [bytes([2, 0]), bytes([1])]) is None
-    assert factoring._pairs(v, points, [bytes([3]), bytes([3, 4])]) is None  # every term is 1
+    assert splitting._pairs(v, points, [b"", bytes([0, 1])]) == 101
+    assert splitting._pairs(v, points, [b"", bytes([1, 0])]) == 103
+    assert splitting._pairs(v, points, [bytes([2, 0]), bytes([1])]) is None
+    assert splitting._pairs(v, points, [bytes([3]), bytes([3, 4])]) is None  # every term is 1
 
 
 @pytest.fixture
@@ -587,13 +587,13 @@ def _reaped(procs) -> bool:
 def _parent_curves(monkeypatch) -> list:
     """The sigmas of the curves this process runs itself."""
     sigmas = []
-    ecm = factoring._ecm
+    ecm = splitting._ecm
 
     def recording(v, sigma, plan):
         sigmas.append(sigma)
         return ecm(v, sigma, plan)
 
-    monkeypatch.setattr(factoring, "_ecm", recording)
+    monkeypatch.setattr(splitting, "_ecm", recording)
     return sigmas
 
 
@@ -614,7 +614,7 @@ THREE_PRIMES = 10003891 * 10008511 * 10016309
 def test_ecm_takes_the_earlier_of_two_curves_that_split(monkeypatch, helpers):
     _force_cores(monkeypatch, 3)
     parent = _parent_curves(monkeypatch)
-    assert factoring._ecm_curves(THREE_PRIMES, 20_000, 6) == (10003891, 2)
+    assert splitting._ecm_curves(THREE_PRIMES, 20_000, 6) == (10003891, 2)
     assert parent == [6] and len(helpers) == 2 and _reaped(helpers)
 
 
@@ -623,7 +623,7 @@ def test_ecm_takes_its_own_curve_before_a_helper_answer(monkeypatch, helpers):
     _force_cores(monkeypatch, 2)
     parent = _parent_curves(monkeypatch)
     v = 10000967 * 10012841 * 10014307
-    assert factoring._ecm_curves(v, 20_000, 6) == (10012841, 1)
+    assert splitting._ecm_curves(v, 20_000, 6) == (10012841, 1)
     assert parent == [6] and len(helpers) == 1 and _reaped(helpers)
 
 
@@ -639,7 +639,7 @@ def test_a_helper_that_cannot_start_leaves_the_waves_narrower(monkeypatch, helpe
         return recorded(*args, **kwargs)
 
     monkeypatch.setattr(subprocess, "Popen", second_fails)
-    assert factoring._ecm_curves(THREE_PRIMES, 20_000, 6) == (10003891, 2)
+    assert splitting._ecm_curves(THREE_PRIMES, 20_000, 6) == (10003891, 2)
     assert parent == [6] and len(helpers) == 1 and _reaped(helpers)
 
 
@@ -651,7 +651,7 @@ def test_a_helper_fault_mid_stage_leaves_the_result(monkeypatch, helpers, publis
     # wrote before it died are still read.
     _force_cores(monkeypatch, 2)
     parent = _parent_curves(monkeypatch)
-    answer = factoring._helper_answer
+    answer = splitting._helper_answer
 
     def faulty(procs, slot, sigma, v):
         if sigma == 9 and procs[slot] is not None:
@@ -663,7 +663,7 @@ def test_a_helper_fault_mid_stage_leaves_the_result(monkeypatch, helpers, publis
                 monkeypatch.setattr(procs[slot].stdout, "readline", lambda: b"9 zz\n")
         return answer(procs, slot, sigma, v)
 
-    monkeypatch.setattr(factoring, "_helper_answer", faulty)
+    monkeypatch.setattr(splitting, "_helper_answer", faulty)
     stats = FactorStats()
     assert (factor_mersenne(137, SWEEP_BUDGET, stats=stats), stats) == published_runs[137][0]
     if fault == "garbles":
@@ -674,7 +674,7 @@ def test_a_helper_fault_mid_stage_leaves_the_result(monkeypatch, helpers, publis
 
 def test_helpers_are_reaped_when_the_curves_run_out(monkeypatch, helpers):
     _force_cores(monkeypatch, 3)
-    assert factoring._ecm_curves(mersenne(137), 20_000, 3) == (None, 3)
+    assert splitting._ecm_curves(mersenne(137), 20_000, 3) == (None, 3)
     assert len(helpers) == 2 and _reaped(helpers)
 
 
@@ -685,9 +685,9 @@ def test_helpers_are_reaped_when_a_curve_raises(monkeypatch, helpers, error):
     def failing(*args):
         raise error
 
-    monkeypatch.setattr(factoring, "_ecm", failing)
+    monkeypatch.setattr(splitting, "_ecm", failing)
     with pytest.raises(error):
-        factoring._ecm_curves(THREE_PRIMES, 20_000, 6)
+        splitting._ecm_curves(THREE_PRIMES, 20_000, 6)
     assert len(helpers) == 2 and _reaped(helpers)
 
 
@@ -696,11 +696,11 @@ def test_runner_leaves_no_resource_warning():
     # a warning printed on stderr.
     script = (
         "import os; os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
-        "from mersenne_omega import factoring\n"
-        f"assert factoring._ecm_curves({THREE_PRIMES}, 20_000, 6) == (10003891, 2)\n"
-        "assert factoring._ecm_curves(factoring.mersenne(137), 20_000, 3) == (None, 3)\n"
+        "from mersenne_omega import splitting\n"
+        f"assert splitting._ecm_curves({THREE_PRIMES}, 20_000, 6) == (10003891, 2)\n"
+        f"assert splitting._ecm_curves({mersenne(137)}, 20_000, 3) == (None, 3)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(factoring.__file__).resolve().parent.parent)}
+    env = {**os.environ, "PYTHONPATH": str(Path(splitting.__file__).resolve().parent.parent)}
     run = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script],
         env=env,
@@ -836,7 +836,7 @@ def test_a_prime_square_piece_splits_by_rho(q, d):
     if q in (1093, 3511):
         assert cyclotomic.cyclotomic_split(d)[-1].value % (q * q) == 0
     counts = Counter()
-    assert factoring._factor_with_rho(q * q, FactorStats(), 1 << 16, counts, d, 3000) == 1
+    assert splitting._factor_with_rho(q * q, FactorStats(), 1 << 16, counts, d, 3000) == 1
     assert counts == {q: 2}
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import signal
 import sys
 import time
@@ -233,16 +234,52 @@ def test_failed_save_keeps_old_file(populated_cache, tmp_path, monkeypatch):
     save_cache(FactorCache(), path)
     before = path.read_bytes()
 
-    def write_half_then_fail(self, data, encoding=None):
-        with open(self, "w", encoding=encoding) as handle:
-            handle.write(data[: len(data) // 2])
-        raise OSError("disk full")
+    opened = Path.open
 
-    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    def open_to_write_half_then_fail(self, mode="r", *args, **kwargs):
+        handle = opened(self, mode, *args, **kwargs)
+        write = handle.write
+
+        def write_half_then_fail(data):
+            write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        handle.write = write_half_then_fail
+        return handle
+
+    monkeypatch.setattr(Path, "open", open_to_write_half_then_fail)
     with pytest.raises(OSError, match="disk full"):
         save_cache(populated_cache, path)
     monkeypatch.undo()
     assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
+def test_save_flushes_the_data_to_disk_before_the_rename(populated_cache, tmp_path, monkeypatch):
+    # A rename that reaches the disk before the data would leave an empty
+    # cache after a power loss, so the temporary file is fsynced first,
+    # with every byte written.
+    path = tmp_path / "cache.json"
+    save_cache(FactorCache(), path)
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        (tmp,) = [p for p in tmp_path.iterdir() if p.name != "cache.json"]
+        events.append(("fsync", tmp.name, tmp.read_bytes()))
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        events.append(("replace", Path(src).name, Path(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    save_cache(populated_cache, path)
+    monkeypatch.undo()
+    assert [event[0] for event in events] == ["fsync", "replace"]
+    assert events[0][1] == events[1][1] and events[1][2] == path
+    assert events[0][2] == path.read_bytes()
     assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
 

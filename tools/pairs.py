@@ -17,7 +17,11 @@ Each run's last stdout line is perfbench's JSON result.  For each metric
 the script prints each side's median, the spread of the parent's runs
 (interquartile range over median), the median over pairs of the ratio
 change / parent, and how many pairs the change improved, by the metric's
-own "lower/higher is better".  It exits 1 when any run is not correct.
+own "lower/higher is better".  Its last column says whether that gain
+resolves: the change improved at least 9 of every 10 pairs, and its median
+beats the parent's by more than the parent's interquartile range.  A gain
+that does not resolve cannot be told from run-to-run noise.  It exits 1
+when any run is not correct.
 """
 
 from __future__ import annotations
@@ -45,12 +49,26 @@ def run(checkout: Path, workload: str, seed: int) -> tuple[dict, dict[str, str]]
         return {"correct": False, "metrics": {}}, better
 
 
-def spread(values: list[float]) -> float:
-    """Interquartile range over median, 0 for fewer than two values."""
-    if len(values) < 2 or not statistics.median(values):
+def iqr(values: list[float]) -> float:
+    """The distance between the quartiles, 0 for fewer than two values."""
+    if len(values) < 2:
         return 0.0
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return (q3 - q1) / statistics.median(values)
+    return q3 - q1
+
+
+def spread(values: list[float]) -> float:
+    """Interquartile range over median, 0 when the median is."""
+    median = statistics.median(values)
+    return iqr(values) / median if median else 0.0
+
+
+def resolves(parent: list[float], change: list[float], improved: int, lower: bool) -> bool:
+    """Whether the change, which improved `improved` of the pairs, improved
+    at least 9 of every 10 and moved the median the better way by more than
+    the parent's interquartile range."""
+    gain = statistics.median(parent) - statistics.median(change)
+    return 10 * improved >= 9 * len(parent) and (gain if lower else -gain) > iqr(parent)
 
 
 def main(argv=None) -> int:
@@ -77,7 +95,7 @@ def main(argv=None) -> int:
             print(f"pair {i} seed {seed} {side}: correct={result.get('correct')} {values}", file=sys.stderr)
 
     print(f"workload {args.workload}, {args.pairs} pairs from seed {args.seed}")
-    print(f"{'metric':16} {'parent':>12} {'change':>12} {'spread':>8} {'ratio':>8} improved")
+    print(f"{'metric':16} {'parent':>12} {'change':>12} {'spread':>8} {'ratio':>8} improved resolves")
     if not all(r["metrics"] for side in results.values() for r in side):
         print("error: a run printed no result", file=sys.stderr)
         return 1
@@ -90,7 +108,8 @@ def main(argv=None) -> int:
         ratio = f"{statistics.median(ratios) - 1:+.1%}" if ratios else "n/a"
         print(
             f"{name:16} {statistics.median(parent):12.6g} {statistics.median(change):12.6g}"
-            f" {spread(parent):8.1%} {ratio:>8} {improved}/{len(parent)}"
+            f" {spread(parent):8.1%} {ratio:>8} {f'{improved}/{len(parent)}':>8}"
+            f" {'yes' if resolves(parent, change, improved, lower) else 'no':>8}"
         )
     for side, runs in results.items():
         failed, attempted = sum(r.get("failed", 0) for r in runs), sum(r.get("attempted", 0) for r in runs)
