@@ -83,15 +83,16 @@ _EXTRA_ROUNDS = 16
 _EXTRA_ROUNDS_SEED = 0xC0FFEE
 
 
-def _is_strong_probable_prime(x: int, base: int) -> bool:
-    # x odd, x >= 3
+def _is_strong_probable_prime(x: int, base: int, ring: int | None = None) -> bool:
+    # x odd, x >= 3; with ring = d (x divides 2^d - 1; see _ring) the power
+    # is taken in Z/(2^d - 1) and reduced modulo x once.
     d = x - 1
     s = (d & -d).bit_length() - 1
     d >>= s
     base %= x
     if base == 0:
         return True
-    t = pow(base, d, x)
+    t = pow(base, d, x) if ring is None else _ring_pow(base, d, ring) % x
     if t == 1 or t == x - 1:
         return True
     for _ in range(s - 1):
@@ -119,7 +120,7 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _is_strong_lucas_probable_prime(x: int) -> bool:
+def _is_strong_lucas_probable_prime(x: int, ring: int | None = None) -> bool:
     """Strong Lucas test of odd x >= 3 with Selfridge's parameters: the
     first D in 5, -7, 9, -11, ... with (D|x) = -1, then P = 1 and
     Q = (1 - D)/4.  With x + 1 = k * 2^s, k odd, x passes when U_k = 0 or
@@ -128,7 +129,9 @@ def _is_strong_lucas_probable_prime(x: int) -> bool:
 
     The ladder walks (V_m, V_(m+1), Q^m) alone.  D is a unit modulo x,
     since (D|x) = -1, so D U_k = 2 V_(k+1) - V_k vanishes exactly when U_k
-    does.
+    does.  With ring = d (x divides 2^d - 1; see _ring) the ladder's
+    products are folded modulo 2^d - 1 as in _ring_pow, and the three
+    terms are reduced modulo x once, after it.
     """
     r = math.isqrt(x)
     if r * r == x:
@@ -150,13 +153,30 @@ def _is_strong_lucas_probable_prime(x: int) -> bool:
     # From m = 1: V_1 = P = 1, V_2 = P^2 - 2Q.  Each bit of k doubles m,
     # by V_2m = V_m^2 - 2Q^m and V_(2m+1) = V_m V_(m+1) - Q^m.
     v, w, qm = 1, (1 - 2 * q) % x, q % x
-    for bit in bin(k)[3:]:
-        if bit == "1":
-            v, w = (v * w - qm) % x, (w * w - 2 * q * qm) % x
-            qm = qm * qm * q % x
-        else:
-            v, w = (v * v - 2 * qm) % x, (v * w - qm) % x
-            qm = qm * qm % x
+    if ring is None:
+        for bit in bin(k)[3:]:
+            if bit == "1":
+                v, w = (v * w - qm) % x, (w * w - 2 * q * qm) % x
+                qm = qm * qm * q % x
+            else:
+                v, w = (v * v - 2 * qm) % x, (v * w - qm) % x
+                qm = qm * qm % x
+    else:
+        # A difference may go negative; & and >> still keep it congruent,
+        # and two folds bring it back into [0, 2^(d+1)) since |q| is small.
+        m = (1 << ring) - 1
+        for bit in bin(k)[3:]:
+            if bit == "1":
+                v, w, qm = v * w - qm, w * w - 2 * q * qm, qm * qm * q
+            else:
+                v, w, qm = v * v - 2 * qm, v * w - qm, qm * qm
+            v = (v & m) + (v >> ring)
+            w = (w & m) + (w >> ring)
+            qm = (qm & m) + (qm >> ring)
+            v = (v & m) + (v >> ring)
+            w = (w & m) + (w >> ring)
+            qm = (qm & m) + (qm >> ring)
+        v, w, qm = v % x, w % x, qm % x
     if v == 0 or (2 * w - v) % x == 0:
         return True
     for _ in range(s - 1):
@@ -191,6 +211,14 @@ def is_probable_prime(x: int) -> Verdict:
         return Verdict.PRIME if x in _SMALL_PRIME_SET else Verdict.COMPOSITE
     if math.gcd(x, _SMALL_PRIMORIAL) != 1:
         return Verdict.COMPOSITE
+    return _strong_verdict(x, None)
+
+
+def _strong_verdict(x: int, ring: int | None) -> Verdict:
+    """is_probable_prime's verdict on x > 199 that no prime up to 199
+    divides: every step after its gcd.  With ring = d (x divides 2^d - 1;
+    see _ring) each strong test and the Lucas ladder run in Z/(2^d - 1).
+    The seeded bases are the same either way, so is the verdict."""
     if x < _SMALL_PRIMES_SQUARED:
         return Verdict.PRIME
     for bound, bases in _STRONG_BASES:
@@ -198,15 +226,15 @@ def is_probable_prime(x: int) -> Verdict:
             proven = all(_is_strong_probable_prime(x, base) for base in bases)
             return Verdict.PRIME if proven else Verdict.COMPOSITE
     for base in (3, 2):
-        if not _is_strong_probable_prime(x, base):
+        if not _is_strong_probable_prime(x, base, ring):
             return Verdict.COMPOSITE
-    if not _is_strong_lucas_probable_prime(x):
+    if not _is_strong_lucas_probable_prime(x, ring):
         return Verdict.COMPOSITE
     if x < _TWO_64:
         return Verdict.PRIME
     rng = random.Random(_EXTRA_ROUNDS_SEED)
     for _ in range(_EXTRA_ROUNDS):
-        if not _is_strong_probable_prime(x, rng.randrange(3, x - 1)):
+        if not _is_strong_probable_prime(x, rng.randrange(3, x - 1), ring):
             return Verdict.COMPOSITE
     return Verdict.PROBABLE_PRIME
 
@@ -216,7 +244,10 @@ def is_probable_prime(x: int) -> Verdict:
 # bits and x holds at least three quarters of them.  Rho on CPython 3.11
 # (2-core Xeon) took 0.45-0.7x the time of % from d = 768 up with x at
 # 75-100% of d's bits; at d = 160 (0.8-1.5x) and d = 256 (0.9-1.45x with
-# a 192-bit x) the fold bought little or nothing.
+# a 192-bit x) the fold bought little or nothing.  The strong tests' power
+# (_ring_pow(b, e, d) % x against pow(b, e, x), same machine) took
+# 0.9-1.26x at d = 256-320, 0.7-0.95x at 384 and 0.4-0.9x from 512 up,
+# the dearer end with x at three quarters of d's bits.
 _RING_MIN_BITS = 256
 
 
@@ -252,14 +283,15 @@ def _ring_pow(b: int, e: int, d: int) -> int:
 def _prime_like(x: int, d: int | None = None) -> bool:
     """True unless x is proven composite (a probable prime counts).
 
-    When x divides 2^d - 1 and _ring(x, d) admits it, a base-3 Fermat test
-    modulo 2^d - 1 runs first.  It only proves compositeness: an x that
-    passes goes on to is_probable_prime for the verdict.
+    When x divides 2^d - 1 and _ring(x, d) admits it, every step of
+    is_probable_prime after its gcd runs in the ring Z/(2^d - 1) (see
+    _strong_verdict), with the same verdict; such an x, at least 192 bits,
+    never reaches the traced is_probable_prime.
     """
     ring = _ring(x, d)
-    if ring is not None and _ring_pow(3, x - 1, ring) % x != 1:
-        return False
-    return is_probable_prime(x) is not Verdict.COMPOSITE
+    if ring is None:
+        return is_probable_prime(x) is not Verdict.COMPOSITE
+    return math.gcd(x, _SMALL_PRIMORIAL) == 1 and _strong_verdict(x, ring) is not Verdict.COMPOSITE
 
 
 def _odd_prime(x: int) -> bool:

@@ -13,10 +13,10 @@ from mersenne_omega import (
     mersenne,
     mod_mersenne,
 )
-from mersenne_omega import arith
+from mersenne_omega import arith, factoring, splitting
 from mersenne_omega.arith import _is_strong_probable_prime, _prime_like, _primes_up_to, _ring, _ring_pow
 from mersenne_omega.cyclotomic import cyclotomic_split, primitive_prime_divisors
-from mersenne_omega.factoring import factor_mersenne, trial_divide_congruence
+from mersenne_omega.factoring import Budget, factor_mersenne, trial_divide_congruence
 
 
 def test_mersenne_values():
@@ -477,21 +477,110 @@ def test_ring_is_chosen_from_size_alone():
     assert _ring(mersenne(300), None) is None
 
 
-def test_ring_fermat_test_agrees_with_prime_like_on_cyclotomic_cofactors():
+def test_ring_strong_test_agrees_with_the_plain_one_on_cyclotomic_cofactors():
     sympy = pytest.importorskip("sympy")
-    checked = passed = 0
+    rng = random.Random(0x5C0F)
+    checked = passed = squared = 0
     for d, v in _cyclotomic_cofactors(1300, min_d=256):
-        ring = _ring(v, d)
-        if ring is None:
+        if _ring(v, d) is None:
             continue
-        fermat = _ring_pow(3, v - 1, ring) % v == 1
-        # A value that passes goes on to is_probable_prime, which sympy
-        # stands in for here; the ring result is only ever a proof of
-        # compositeness.
-        assert fermat == (sympy.isprime(v) if fermat else _prime_like(v)), (d, v)
+        strong = _is_strong_probable_prime(v, 3, d)
+        assert strong == _is_strong_probable_prime(v, 3), (d, v)
         checked += 1
-        passed += fermat
-    assert checked > 400 and passed >= 10
+        if not strong:
+            assert not _prime_like(v, d), (d, v)
+            continue
+        # Seeded bases on a value that passes base 3.  Where 4 | v - 1,
+        # most of them leave b^k other than +-1, so the squarings run.
+        for base in (2, *(rng.randrange(3, v - 1) for _ in range(4))):
+            assert _is_strong_probable_prime(v, base, d) == _is_strong_probable_prime(v, base), (d, v, base)
+        assert arith._is_strong_lucas_probable_prime(v, d) == arith._is_strong_lucas_probable_prime(v), (d, v)
+        assert _prime_like(v, d) == sympy.isprime(v), (d, v)
+        passed += 1
+        squared += v % 4 == 1
+    assert checked > 400 and passed >= 10 and squared >= 4
+
+
+# The 45 indices one perfbench bigprime pass factors (perfbench/workloads.py:
+# BIGPRIME_FIXED, the primes whose M_p completes, and 37 spaced ones).
+_BIGPRIME_INDICES = (
+    *(1021, 1050, 1069, 1123, 1193, 1249, 1279, 1303, 1373, 1439, 1459, 1489, 1553, 1607, 1663),
+    *(1721, 1783, 1861, 1907, 1987, 2029, 2089, 2141, 2203, 2237, 2281, 2293, 2310, 2351, 2399),
+    *(2467, 2543, 2617, 2677, 2713, 2777, 2837, 2897, 2963, 3000, 3037, 3109, 3187, 3217, 3257),
+)
+
+
+def test_ring_verdicts_agree_with_is_probable_prime_on_the_bigprime_pieces(monkeypatch):
+    tested = []
+
+    def recording(x, d=None):
+        verdict = _prime_like(x, d)
+        if _ring(x, d) is not None:
+            tested.append((x, verdict))
+        return verdict
+
+    monkeypatch.setattr(factoring, "_prime_like", recording)
+    monkeypatch.setattr(splitting, "_prime_like", recording)
+    for n in _BIGPRIME_INDICES:
+        factor_mersenne(n, Budget(rho_iterations_max=1000))
+    # M_1459's 1429-bit cofactor is the one probable prime among them.
+    assert len(tested) >= 20 and any(verdict for _, verdict in tested)
+    for x, verdict in tested:
+        assert verdict == (is_probable_prime(x) is not Verdict.COMPOSITE), x
+
+
+def _ring_divisors(rng, count, lo, hi):
+    """count distinct (d, x), lo <= d <= hi, with x a divisor of 2^d - 1
+    that _ring admits: 2^d - 1 less a seeded choice of its intrinsic
+    primes, the primes below 10^6 the scan finds in its parts, and what is
+    left of each part.  The primes below 200 are dropped more often, so
+    that more x get past is_probable_prime's gcd."""
+    factors = {}
+    for d in range(lo, hi + 1):
+        factors[d] = []
+        for part in cyclotomic_split(d):
+            v = part.value
+            while part.intrinsic > 1 and v % part.intrinsic == 0:
+                v //= part.intrinsic
+                factors[d].append(part.intrinsic)
+            for q in trial_divide_congruence(v, part.d, 10**6):
+                while v % q == 0:
+                    v //= q
+                    factors[d].append(q)
+            if v > 1:
+                factors[d].append(v)
+    found = set()
+    while len(found) < count:
+        d = rng.randrange(lo, hi + 1)
+        x = mersenne(d)
+        for q in factors[d]:
+            if rng.random() < (0.9 if q < 200 else 0.5) and 4 * (x // q).bit_length() >= 3 * d:
+                x //= q
+        found.add((d, x))
+    return sorted(found)
+
+
+def test_ring_verdicts_agree_with_is_probable_prime_on_seeded_divisors():
+    rng = random.Random(0xD1F)
+    divisors = _ring_divisors(rng, 10_000, 256, 400)
+    small = math.prod(_primes_up_to(199))
+    assert sum(math.gcd(x, small) == 1 for _, x in divisors) > 2000
+    blind = 0
+    for i, (d, x) in enumerate(divisors):
+        assert _ring(x, d) == d
+        verdict = _prime_like(x, d)
+        assert verdict == (is_probable_prime(x) is not Verdict.COMPOSITE), (d, x)
+        if i % 10 == 0:
+            base = rng.randrange(2, x - 1)
+            assert _is_strong_probable_prime(x, base, d) == _is_strong_probable_prime(x, base), (d, x, base)
+        if i % 50 == 0:
+            assert arith._is_strong_lucas_probable_prime(x, d) == arith._is_strong_lucas_probable_prime(x), (d, x)
+        if not verdict and is_probable_prime(d) is Verdict.PRIME:
+            # Every prime q of 2^d - 1 is 1 (mod 2d), so x - 1 = 2^s k
+            # with d | k and 2^k = 1 (mod x): base 2 passes both ways.
+            assert _is_strong_probable_prime(x, 2, d) and _is_strong_probable_prime(x, 2), (d, x)
+            blind += 1
+    assert blind >= 50
 
 
 def _products_of_two_primes(sympy, rng, count):

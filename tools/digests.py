@@ -31,6 +31,11 @@ such power and of 2 * 10^6, and factor_natural's cap 4 * 10^12.
 
 A sixth line is the lucas_lehmer digest, the SHA-256 of the lines
 repr((p, lucas_lehmer(p))) for every odd prime p below 2000.
+
+A seventh line is the ring digest, the SHA-256 of the lines
+repr((d, x, _prime_like(x, d))) for RING_SAMPLE seeded divisors x of
+2^d - 1, 256 <= d <= 1024, that arith._ring admits (see ring_divisors):
+the values whose primality test runs in the ring Z/(2^d - 1).
 """
 
 from __future__ import annotations
@@ -45,8 +50,15 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from mersenne_omega.arith import Verdict, is_probable_prime, lucas_lehmer  # noqa: E402
-from mersenne_omega.factoring import Budget, FactorStats, factor_mersenne, factor_natural  # noqa: E402
+from mersenne_omega.arith import Verdict, _prime_like, is_probable_prime, lucas_lehmer, mersenne  # noqa: E402
+from mersenne_omega.cyclotomic import cyclotomic_split  # noqa: E402
+from mersenne_omega.factoring import (  # noqa: E402
+    Budget,
+    FactorStats,
+    factor_mersenne,
+    factor_natural,
+    trial_divide_congruence,
+)
 
 # 199^2, the bounds of the strong-base ranges, and 2^64.
 BOUNDS = (199**2, 1_373_653, 25_326_001, 4_759_123_141, 1 << 64)
@@ -82,6 +94,8 @@ RUNG_PRIMES = (
 NATURAL_MAX = 4 * 10**12
 SAMPLE = 10_000
 SAMPLE_SEED = 0x5EED_64
+RING_SAMPLE = 2000
+RING_SEED = 0x5EED_D1
 
 
 def bigprime_indices() -> list[int]:
@@ -139,6 +153,43 @@ def lucas_lehmer_digest() -> str:
     return sha256([repr((p, lucas_lehmer(p))) for p in exponents])
 
 
+def ring_divisors() -> list[tuple[int, int]]:
+    """RING_SAMPLE distinct (d, x), ascending, with 256 <= d <= 1024 and x
+    a divisor of 2^d - 1 that _ring admits.  Each x is 2^d - 1 less a
+    seeded choice of its known factors: the intrinsic prime of each part
+    Phi_k(2), k | d, the primes below 10^5 that the congruence scan finds
+    in it, and what is left of it.  The primes below 200 are dropped more
+    often, so that more x get past is_probable_prime's gcd."""
+    factors: dict[int, list[int]] = {}
+    rng = random.Random(RING_SEED)
+    found: set[tuple[int, int]] = set()
+    while len(found) < RING_SAMPLE:
+        d = rng.randrange(256, 1025)
+        if d not in factors:
+            factors[d] = []
+            for part in cyclotomic_split(d):
+                v = part.value
+                while part.intrinsic > 1 and v % part.intrinsic == 0:
+                    v //= part.intrinsic
+                    factors[d].append(part.intrinsic)
+                for q in trial_divide_congruence(v, part.d, 10**5):
+                    while v % q == 0:
+                        v //= q
+                        factors[d].append(q)
+                if v > 1:
+                    factors[d].append(v)
+        x = mersenne(d)
+        for q in factors[d]:
+            if rng.random() < (0.9 if q < 200 else 0.5) and 4 * (x // q).bit_length() >= 3 * d:
+                x //= q
+        found.add((d, x))
+    return sorted(found)
+
+
+def ring_digest() -> str:
+    return sha256([repr((d, x, _prime_like(x, d))) for d, x in ring_divisors()])
+
+
 def main() -> None:
     sets = (
         ("sweep", range(2, 161), 1 << 22),
@@ -159,6 +210,9 @@ def main() -> None:
     start = time.perf_counter()
     lucas = lucas_lehmer_digest()
     print(f"lucas_lehmer {lucas}  ({time.perf_counter() - start:.1f} s)")
+    start = time.perf_counter()
+    ring = ring_digest()
+    print(f"ring     {ring}  ({time.perf_counter() - start:.1f} s)")
 
 
 if __name__ == "__main__":
